@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .census import NormalityParams, resolve_threads, run_census
 from .core import Convention, Rational, convergents, expand
@@ -20,7 +22,7 @@ from .enumeration import SequenceKind, count_R
 from .errors import ResourceLimitError
 from .measures import Pattern, constants
 from .sieves import pi_prime_joint, pi_prime_linear
-from .streams import (DigitStream, digit_block, encode_varint, format_header,
+from .streams import (DigitStream, digit_block, encode_varints, format_header,
                       hypothesis_ratios, normality_report)
 
 
@@ -42,17 +44,22 @@ def _write_bytes(path: Optional[str], data: bytes) -> None:
             fh.write(data)
 
 
-def _emit_digits(digits: Sequence[int], kind: Optional[SequenceKind],
+def _emit_digits(digits: Union[Sequence[int], np.ndarray],
+                 kind: Optional[SequenceKind],
                  args: argparse.Namespace) -> None:
     """Write a digit dump: space-separated text or varint bytes, no trailing
     newline, with the one-line header prepended when --header is set."""
     header = format_header(kind, args.conv) + "\n" if args.header else ""
+    values = np.asarray(digits, dtype=np.int64)
     if args.varint:
-        payload = header.encode("ascii") + b"".join(
-            encode_varint(d) for d in digits)
-        _write_bytes(args.out, payload)
+        _write_bytes(args.out, header.encode("ascii") + encode_varints(values))
     else:
-        _write_text(args.out, header + " ".join(str(d) for d in digits))
+        # formatting a slice at a time keeps one Python object per digit
+        # from existing for the whole dump at once
+        step = 1 << 16
+        _write_text(args.out, header + " ".join(
+            " ".join(map(str, values[i:i + step].tolist()))
+            for i in range(0, len(values), step)))
 
 
 def _emit_json(path: Optional[str], doc) -> None:
@@ -72,8 +79,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_stream(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("n must be >= 0")
-    digits = digit_block(args.kind, args.conv, args.n).tolist() if args.n else []
-    _emit_digits(digits, args.kind, args)
+    _emit_digits(digit_block(args.kind, args.conv, args.n), args.kind, args)
     return 0
 
 

@@ -32,7 +32,6 @@ class StreamConfig:
     """Tunables shared by the stream consumers."""
 
     checkpoint_interval: int = 10 ** 4
-    buffer_digits: int = 2 ** 20
     max_patterns: int = 10 ** 4
 
 
@@ -126,6 +125,9 @@ def digit_matrix(num: np.ndarray, den: np.ndarray,
     Returns (matrix, lengths): matrix[i, :lengths[i]] are the digits of row i
     and the padding is zero.  Runs the Euclidean algorithm across all rows in
     lockstep, which is what makes million-digit streams cheap in Python.
+    Each column works on the rows still running only: their row numbers and
+    remainders are compacted as rows finish.  The matrix is column-major,
+    because this loop and the census pattern counters walk it by column.
     """
     num = np.asarray(num, dtype=np.int64)
     den = np.asarray(den, dtype=np.int64)
@@ -138,21 +140,19 @@ def digit_matrix(num: np.ndarray, den: np.ndarray,
     q = den // g
     rows = len(p)
     width = _max_expansion_length(int(den.max()) if rows else 2, convention)
-    mat = np.zeros((rows, width), dtype=np.int64)
+    mat = np.zeros((rows, width), dtype=np.int64, order="F")
     lengths = np.zeros(rows, dtype=np.int64)
+    live = np.arange(rows)
     col = 0
-    active = p > 0
-    while active.any():
-        pa = p[active]
-        qa = q[active]
-        a = qa // pa
-        r = qa - a * pa
-        mat[active, col] = a
-        lengths[active] += 1
-        q[active] = pa
-        p[active] = r
-        active = p > 0
+    while len(live):
+        a, r = np.divmod(q, p)
+        mat[live, col] = a
         col += 1
+        going = r > 0
+        lengths[live[~going]] = col
+        live = live[going]
+        q = p[going]
+        p = r[going]
     if convention is Convention.LONG:
         idx = np.arange(rows)
         last = lengths - 1
@@ -168,31 +168,68 @@ def flatten_digit_matrix(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return mat[mask]
 
 
+#: Heilbronn (1969) and Porter (1975): over the p coprime to q, p/q has on
+#: average (12 ln 2 / pi^2) ln q + C_P - 1 + o(1) short-convention digits,
+#: C_P = 1.4670780794 being Porter's constant (Knuth, TAOCP vol. 2, 4.5.3).
+HEILBRONN_PORTER = 12.0 * math.log(2.0) / math.pi ** 2
+PORTER_CONSTANT = 1.4670780794
+
+#: most member pairs in one digit_block block; bounds its digit matrix
+BLOCK_PAIR_CAP = 1 << 19
+
+
+def _mean_expansion_length(den: int, convention: Convention) -> float:
+    length = HEILBRONN_PORTER * math.log(den) + PORTER_CONSTANT - 1.0
+    return length + (1.0 if convention is Convention.LONG else 0.0)
+
+
+def _block_top(d_lo: int, digits: int, per_pair: float, density: float) -> int:
+    """The d_hi > d_lo whose block [d_lo, d_hi) holds about `digits` digits,
+    or BLOCK_PAIR_CAP pairs if fewer, when each denominator d has
+    density * d numerators of per_pair digits each."""
+    pairs = min(digits / per_pair, BLOCK_PAIR_CAP)
+    return max(d_lo + 1, math.isqrt(d_lo * d_lo + int(2.0 * pairs / density)))
+
+
 def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
                 ) -> np.ndarray:
-    """First n_digits of the kind's stream as an int64 array (vectorized)."""
+    """First n_digits of the kind's stream as an int64 array (vectorized).
+
+    Plans each denominator block [d_lo, d_hi) to hold the digits still
+    missing, so only the last block computes digits that are cut off.  A
+    block holds about density * (d_hi**2 - d_lo**2) / 2 pairs.  The first
+    block takes density 1, every numerator below each denominator, and the
+    Heilbronn-Porter mean length at its top denominator,
+    (12 ln 2 / pi^2) ln q + C_P - 1 with 12 ln 2 / pi^2 = 0.843...; each
+    later block takes the density and the digits per pair that the block
+    before it produced.  No block holds more than BLOCK_PAIR_CAP pairs.
+    """
     if n_digits < 0:
         raise ValueError("n_digits must be >= 0")
     chunks: list[np.ndarray] = []
     have = 0
     d_lo = 2
-    floor_pairs = 64
+    density = 1.0
+    per_pair = 0.0
     while have < n_digits:
-        # size each denominator block to the digits still missing: mean
-        # expansion length grows like 0.83 ln(den), and the doubling floor
-        # keeps sparse kinds from crawling through hundreds of tiny blocks
-        avg_len = max(1.0, 0.83 * math.log(d_lo + 1))
-        want_pairs = max(int((n_digits - have) / avg_len) + 16, floor_pairs)
-        budget = min(3_000_000, 2 * want_pairs)
-        d_hi = max(d_lo + 2, math.isqrt(d_lo * d_lo + 2 * budget))
+        missing = n_digits - have
+        if chunks:
+            d_hi = _block_top(d_lo, missing, per_pair, density)
+        else:
+            # the mean length at the top denominator sets the top: iterate
+            d_hi = d_lo + 1
+            for _ in range(4):
+                per_pair = _mean_expansion_length(d_hi, convention)
+                d_hi = _block_top(d_lo, missing, per_pair, density)
         num, den = members_block(kind, d_lo, d_hi)
         if len(num):
             mat, lengths = digit_matrix(num, den, convention)
             flat = flatten_digit_matrix(mat, lengths)
             chunks.append(flat)
             have += len(flat)
+            per_pair = len(flat) / len(num)
+            density = 2.0 * len(num) / (d_hi * d_hi - d_lo * d_lo)
         d_lo = d_hi
-        floor_pairs *= 2
     if not chunks:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(chunks)[:n_digits]
@@ -341,7 +378,8 @@ class GrowthTracker:
     each checkpoint window: with W11 = K(window digits) and W21 = K(window
     digits minus the first),  q_end = W11 q_start + W21 q_{start-1}, so the
     float value must stay within audit_tol of
-    log q_start + ln W11 + log1p((W21/W11) * ratio_start).
+    log q_start + ln W11 + log1p((W21/W11) * ratio_start).  With
+    audit_interval 0 no window continuants are kept at all.
     """
 
     def __init__(self, audit_interval: int = DEFAULT_CONFIG.checkpoint_interval,
@@ -368,11 +406,13 @@ class GrowthTracker:
         self.logq += math.log(t)
         self.ratio = 1.0 / t
         self.n += 1
+        if not self.audit_interval:
+            return
         self._w_cur, self._w_prev = a * self._w_cur + self._w_prev, self._w_cur
         if self._window_digits > 0:
             self._v_cur, self._v_prev = a * self._v_cur + self._v_prev, self._v_cur
         self._window_digits += 1
-        if self.audit_interval and self._window_digits >= self.audit_interval:
+        if self._window_digits >= self.audit_interval:
             self._audit()
 
     def update_many(self, digits: Iterable[int]) -> None:
@@ -595,6 +635,37 @@ def encode_varint(value: int) -> bytes:
         else:
             out.append(byte)
             return bytes(out)
+
+
+def encode_varints(values: Union[Sequence[int], np.ndarray]) -> bytes:
+    """Unsigned LEB128 of each value below 2**63, concatenated.
+
+    The vectorised form of encode_varint.  A value below 128 is its own byte,
+    so a stream of small digits encodes in one astype pass.  Each larger
+    value gets its low 7-bit group with bit 7 set in its own place, and its
+    higher groups are inserted after it, low group first, every group but
+    its last again with bit 7 set.
+    """
+    v = np.asarray(values, dtype=np.int64)
+    if len(v) and v.min() < 0:
+        raise ValueError("varint encodes nonnegative integers")
+    at = np.flatnonzero(v >= 0x80)
+    out = v.astype(np.uint8)
+    out[at] = (v[at] & 0x7F) | 0x80
+    high = v[at] >> 7
+    cuts, groups = [], []
+    while len(at):
+        more = high >= 0x80
+        cuts.append(at + 1)
+        groups.append((high & 0x7F) | (more << 7))
+        at = at[more]
+        high = high[more] >> 7
+    if cuts:
+        # np.insert keeps the order of values inserted at one index, so a
+        # value's groups land in the order of the passes that made them
+        out = np.insert(out, np.concatenate(cuts),
+                        np.concatenate(groups).astype(np.uint8))
+    return out.tobytes()
 
 
 def decode_varints(data: bytes) -> list[int]:

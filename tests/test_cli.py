@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from cfnormal.cli import main
+from cfnormal.cli import _emit_digits, build_parser, main
+from cfnormal.core import Convention
+from cfnormal.enumeration import SequenceKind
 from cfnormal.sieves import pi_prime_joint, pi_prime_linear
-from cfnormal.streams import decode_varints
+from cfnormal.streams import DigitStream, decode_varints
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -74,6 +77,42 @@ class TestStream:
         assert decode_varints(capfdbinary.readouterr().out) == \
             [2, 3, 1, 2, 4, 2, 1, 3]
 
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_varint_header_matches_scalar_stream(self, kind, tmp_path, capsys):
+        target = tmp_path / "digits.bin"
+        run_ok(capsys, ["stream", "--kind", kind.value, "-n", "5000",
+                        "--varint", "--header", "--out", str(target)])
+        head, payload = target.read_bytes().split(b"\n", 1)
+        assert head == f"cfdigits v1 kind={kind.value} conv=long".encode()
+        assert decode_varints(payload) == DigitStream(kind).take(5000)
+
+    def test_text_dump_matches_scalar_stream(self, capsys):
+        out = run_ok(capsys, ["stream", "--kind", "type2", "-n", "5000"]).out
+        digits = DigitStream(SequenceKind.TYPE2).take(5000)
+        assert out == " ".join(str(d) for d in digits)
+
+
+class TestEmitDigits:
+    """A digit list and the same digits as an int64 array dump alike."""
+
+    DIGITS = [1, 2, 127, 128, 16383, 16384, 2 ** 31 - 1, 3]
+
+    @pytest.mark.parametrize("extra", [[], ["--varint"], ["--header"],
+                                       ["--varint", "--header"]])
+    def test_list_and_array_dump_alike(self, extra, tmp_path):
+        dumps = []
+        for digits in (self.DIGITS, np.array(self.DIGITS, dtype=np.int64)):
+            target = tmp_path / f"dump{len(dumps)}"
+            args = build_parser().parse_args(
+                ["stream", "--kind", "all", "-n", "1", "--out", str(target)]
+                + extra)
+            _emit_digits(digits, SequenceKind.ALL_LOWEST_TERMS, args)
+            dumps.append(target.read_bytes())
+        assert dumps[0] == dumps[1]
+        if "--varint" not in extra:
+            assert dumps[0].decode("ascii").split("\n")[-1] == \
+                " ".join(str(d) for d in self.DIGITS)
+
 
 class TestStreamFile:
     def test_digits_and_ratio_report(self, tmp_path, capsys):
@@ -107,6 +146,14 @@ class TestStreamFile:
                                    "--conv", "short"])
         assert captured.out == "2 3 1"
         assert captured.err == ""
+
+    def test_text_dump_matches_scalar_stream(self, tmp_path, capsys):
+        indices = [7, 1, 300, 7, 12345, 2]
+        src = tmp_path / "indices.txt"
+        src.write_text(" ".join(str(i) for i in indices))
+        out = run_ok(capsys, ["stream-file", str(src)]).out
+        digits = DigitStream(indices=indices, convention=Convention.LONG)
+        assert out == " ".join(str(d) for d in digits)
 
     def test_indices_header(self, tmp_path, capsys):
         src = tmp_path / "indices.txt"

@@ -1,23 +1,25 @@
 """Digit streams, pattern counting, and growth tracking."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cfnormal import streams
 from cfnormal.census import continuant_den
 from cfnormal.core import Convention, expand
-from cfnormal.enumeration import SequenceKind, enumerate_R
+from cfnormal.enumeration import SequenceKind, enumerate_R, members_block
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import Pattern, gauss_measure
 from cfnormal.streams import (DigitStream, FrequencyTracker, GrowthTracker,
                               StreamConfig, count_pattern_array,
                               count_patterns, decode_varints, digit_block,
-                              digit_matrix, encode_varint, flatten_digit_matrix,
-                              format_header, hypothesis_ratios,
-                              normality_report)
+                              digit_matrix, encode_varint, encode_varints,
+                              flatten_digit_matrix, format_header,
+                              hypothesis_ratios, normality_report)
 
 AKS_PREFIX = [2, 3, 1, 2, 4, 2, 1, 3]
 ALL_PREFIX_15 = [2, 3, 1, 2, 4, 1, 3, 5, 2, 2, 1, 1, 2, 1, 4]
@@ -110,6 +112,32 @@ class TestVectorizedGeneration:
     def test_digit_matrix_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             digit_matrix(np.array([2]), np.array([2]))
+
+    @pytest.mark.parametrize("kind, conv, n", [
+        (SequenceKind.ALL_WITH_DUPLICATES, Convention.SHORT, 10 ** 6),
+        (SequenceKind.TYPE3, Convention.LONG, 10 ** 5),
+    ])
+    def test_blocks_compute_about_the_digits_returned(self, monkeypatch,
+                                                      kind, conv, n):
+        computed = []
+        blocks = []
+
+        def counting_matrix(num, den, convention):
+            mat, lengths = digit_matrix(num, den, convention)
+            computed.append(int(lengths.sum()))
+            return mat, lengths
+
+        def counting_members(*args):
+            blocks.append(args)
+            return members_block(*args)
+
+        monkeypatch.setattr(streams, "digit_matrix", counting_matrix)
+        monkeypatch.setattr(streams, "members_block", counting_members)
+        out = digit_block(kind, conv, n)
+        assert len(out) == n
+        assert sum(computed) <= 1.10 * n, (
+            f"computed {sum(computed)} digits for {n} in {len(blocks)} blocks")
+        assert len(blocks) <= 40, f"{len(blocks)} blocks for {n} digits"
 
 
 def test_convention_independence_of_digit_frequencies(long_digits):
@@ -227,6 +255,21 @@ class TestGrowthTracker:
         with pytest.raises(ArithmeticError):
             tracker.update(1)
 
+    def test_audit_off_is_linear(self, long_digits):
+        digits = long_digits[SequenceKind.ALL_LOWEST_TERMS][:200_000].tolist()
+        trackers = {}
+        seconds = {}
+        for interval in (10 ** 4, 0):
+            start = time.perf_counter()
+            trackers[interval] = GrowthTracker(audit_interval=interval)
+            trackers[interval].update_many(digits)
+            seconds[interval] = time.perf_counter() - start
+        assert trackers[0].logq == trackers[10 ** 4].logq
+        assert trackers[0].n == trackers[10 ** 4].n == len(digits)
+        assert seconds[0] <= 2.0 * seconds[10 ** 4], (
+            f"audit off took {seconds[0]:.3f} s, audit on "
+            f"{seconds[10 ** 4]:.3f} s over {len(digits)} digits")
+
     def test_rejects_bad_digits(self):
         tracker = GrowthTracker()
         with pytest.raises(ValueError):
@@ -315,4 +358,27 @@ class TestVarint:
         with pytest.raises(ValueError):
             encode_varint(-1)
         with pytest.raises(ValueError):
+            encode_varints(np.array([5, -1]))
+        with pytest.raises(ValueError):
             decode_varints(b"\x80")
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [0, 127, 128, 16383, 16384, 2 ** 31 - 1, 2 ** 62],
+        [1, 2, 3, 127],
+    ])
+    def test_vectorised_matches_scalar_on_edges(self, values):
+        expected = b"".join(encode_varint(v) for v in values)
+        assert encode_varints(values) == expected
+        assert encode_varints(np.array(values, dtype=np.int64)) == expected
+
+    def test_vectorised_matches_scalar_on_mixed_widths(self):
+        rng = np.random.default_rng(11)
+        # one-, two- and three-byte values, shuffled together
+        values = np.concatenate([rng.integers(0, 2 ** 7, 3000),
+                                 rng.integers(2 ** 7, 2 ** 14, 3000),
+                                 rng.integers(2 ** 14, 2 ** 21, 3000)])
+        rng.shuffle(values)
+        blob = encode_varints(values)
+        assert blob == b"".join(encode_varint(int(v)) for v in values)
+        assert decode_varints(blob) == values.tolist()
