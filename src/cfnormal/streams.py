@@ -200,9 +200,11 @@ def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
     block holds about density * (d_hi**2 - d_lo**2) / 2 pairs.  The first
     block takes density 1, every numerator below each denominator, and the
     Heilbronn-Porter mean length at its top denominator,
-    (12 ln 2 / pi^2) ln q + C_P - 1 with 12 ln 2 / pi^2 = 0.843...; each
-    later block takes the density and the digits per pair that the block
-    before it produced.  No block holds more than BLOCK_PAIR_CAP pairs.
+    (12 ln 2 / pi^2) ln q + C_P - 1 with 12 ln 2 / pi^2 = 0.843...  Each
+    later block takes the density that the block before it produced, and
+    the digits per pair it produced scaled by the growth of that mean from
+    its top denominator to the new one, since expansions lengthen with the
+    denominator.  No block holds more than BLOCK_PAIR_CAP pairs.
     """
     if n_digits < 0:
         raise ValueError("n_digits must be >= 0")
@@ -210,24 +212,21 @@ def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
     have = 0
     d_lo = 2
     density = 1.0
-    per_pair = 0.0
+    scale = 1.0  # digits per pair over the mean length at the block's top
     while have < n_digits:
         missing = n_digits - have
-        if chunks:
+        # the mean length at the top denominator sets the top: iterate
+        d_hi = d_lo + 1
+        for _ in range(4):
+            per_pair = scale * _mean_expansion_length(d_hi, convention)
             d_hi = _block_top(d_lo, missing, per_pair, density)
-        else:
-            # the mean length at the top denominator sets the top: iterate
-            d_hi = d_lo + 1
-            for _ in range(4):
-                per_pair = _mean_expansion_length(d_hi, convention)
-                d_hi = _block_top(d_lo, missing, per_pair, density)
         num, den = members_block(kind, d_lo, d_hi)
         if len(num):
             mat, lengths = digit_matrix(num, den, convention)
             flat = flatten_digit_matrix(mat, lengths)
             chunks.append(flat)
             have += len(flat)
-            per_pair = len(flat) / len(num)
+            scale = len(flat) / len(num) / _mean_expansion_length(d_hi, convention)
             density = 2.0 * len(num) / (d_hi * d_hi - d_lo * d_lo)
         d_lo = d_hi
     if not chunks:
@@ -370,20 +369,151 @@ def count_pattern_array(digits: np.ndarray, s: Union[Pattern, Sequence[int]],
     return int(match.sum())
 
 
+#: GrowthTracker.update_many works through GROWTH_CHUNK digits at a time, so
+#: its scratch memory is bounded.  Each chunk runs the ratio recurrence in up
+#: to GROWTH_LANES lanes, each started GROWTH_WARMUP digits early from r = 0.
+GROWTH_CHUNK = 1 << 16
+GROWTH_LANES = 256
+GROWTH_WARMUP = 64
+
+#: continuant products stay in int64 while log2 of their entry bound is below
+_INT64_PRODUCT_BITS = 62
+
+_IDENTITY = (1, 0, 0, 1)  # 2x2 matrices are row-major tuples
+
+
+def _matmul2(m: Sequence, p: Sequence, column: bool = False) -> tuple:
+    """Row-major 2x2 product m p of ints or of arrays, elementwise; only its
+    first column if `column`."""
+    a, b, c, d = m
+    e, f, g, h = p
+    if column:
+        return (a * e + b * g, c * e + d * g)
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _ratio_recurrence(a: np.ndarray, ratio: float) -> np.ndarray:
+    """t_i = a_i + r_{i-1} with r_i = 1 / t_i and r_{-1} = ratio, bit for bit.
+
+    Lane j takes positions [j m, (j+1) m) and starts GROWTH_WARMUP digits
+    early from r = 0; lane 0 starts from `ratio`.  All lanes step together
+    in numpy, whose + and / round like Python's.  The map r -> 1 / (a + r)
+    contracts, so a lane entering its range with the r that the lane before
+    it left with holds the exact values from there on.  A lane that does not
+    is recomputed one digit at a time from the exact r until it rejoins.
+    """
+    n = len(a)
+    warm = GROWTH_WARMUP
+    lanes = min(GROWTH_LANES, max(1, n // max(warm, 1)))
+    if lanes == 1:
+        warm = 0
+    m = -(-n // lanes)  # >= warm, so each warm-up lies in the lane before
+    padded = np.ones(warm + lanes * m)  # lane 0's warm-up and the last lane's
+    padded[warm:warm + n] = a           # overhang read 1s, and go unused
+    steps = np.arange(warm + m)[:, None] + np.arange(0, lanes * m, m)
+    digits = padded[steps]  # digits[s, j] is lane j's digit at step s
+    t = np.empty_like(digits)
+    r = np.zeros(lanes)
+    for s in range(warm + m):
+        if s == warm:
+            entry = r.copy()
+            r[0] = entry[0] = ratio
+        np.add(digits[s], r, out=t[s])
+        np.divide(1.0, t[s], out=r)
+    t = t[warm:]
+    exits = 1.0 / t[-1]
+    mismatched = np.flatnonzero(entry[1:] != exits[:-1])
+    if len(mismatched):
+        for j in range(mismatched[0] + 1, lanes):
+            if entry[j] == exits[j - 1]:
+                continue
+            exact = float(exits[j - 1])
+            for i, d in enumerate(digits[warm:, j].tolist()):
+                ti = d + exact
+                if ti == t[i, j]:
+                    break
+                t[i, j] = ti
+                exact = 1.0 / ti
+            exits[j] = 1.0 / t[-1, j]
+    return t.T.ravel()[:n]
+
+
+def _continuant_products(a: np.ndarray, bounds: np.ndarray,
+                         column: bool = False) -> list[tuple[int, ...]]:
+    """Exact product of [[a_i, 1], [1, 0]] over each a[bounds[s]:bounds[s+1]],
+    row-major, or only its first column (P11, P21) if `column`.
+
+    A pairwise tree, vectorised over the segments: segment s fills row s
+    from the left and identities pad the rows to one width.  No entry of a
+    product exceeds the product of (a_i + 1), so a product is taken in int64
+    while log2 of that bound is below _INT64_PRODUCT_BITS.  The first level
+    where some product reaches it takes those in Python ints, and every
+    level above holds Python ints.
+    """
+    lens = np.diff(bounds)
+    valid = np.arange(lens.max()) < lens[:, None]
+    digits = a[bounds[0]:bounds[-1]]
+    p11 = np.ones(valid.shape, dtype=np.int64)
+    p11[valid] = digits
+    p12 = valid.astype(np.int64)
+    nodes = [p11, p12, p12, 1 - p12]
+    # float32 is close enough: the bound keeps a whole bit below 2**63
+    bits = np.zeros(valid.shape, dtype=np.float32)
+    bits[valid] = np.log2(digits.astype(np.float32) + np.float32(1.0))
+    while nodes[0].shape[1] > 1:
+        carry = nodes[0].shape[1] % 2
+        if carry:
+            # an odd last node moves up a level unchanged
+            tail = [x[:, -1:] for x in nodes]
+            nodes = [x[:, :-1] for x in nodes]
+        left = [x[:, 0::2] for x in nodes]
+        right = [x[:, 1::2] for x in nodes]
+        # at the top only the first column of the product is needed
+        top = column and left[0].shape[1] == 1 and not carry
+        nodes = _matmul2(left, right, top)
+        if bits is not None:
+            bits = np.concatenate((bits[:, 0:-1:2] + bits[:, 1::2],
+                                   bits[:, -1:][:, :carry]), axis=1)
+            big = bits[:, :left[0].shape[1]] >= _INT64_PRODUCT_BITS
+            if big.any():
+                # int64 wrapped there: redo those products in Python ints
+                exact = _matmul2([x[big].astype(object) for x in left],
+                                 [x[big].astype(object) for x in right], top)
+                nodes = [x.astype(object) for x in nodes]
+                for x, y in zip(nodes, exact):
+                    x[big] = y
+                if carry:
+                    tail = [x.astype(object) for x in tail]
+                bits = None
+        if carry:
+            nodes = [np.concatenate(pair, axis=1) for pair in zip(nodes, tail)]
+    if column and len(nodes) == 4:
+        nodes = nodes[0::2]
+    return list(zip(*(x[:, 0].tolist() for x in nodes)))
+
+
 class GrowthTracker:
     """Running log of the continuant q_n of the digits seen so far.
 
     Uses the stable recurrence  log q_n = log q_{n-1} + ln(a_n + q_{n-2}/q_{n-1})
     in doubles, and audits itself against exact big-integer continuants over
-    each checkpoint window: with W11 = K(window digits) and W21 = K(window
-    digits minus the first),  q_end = W11 q_start + W21 q_{start-1}, so the
-    float value must stay within audit_tol of
-    log q_start + ln W11 + log1p((W21/W11) * ratio_start).  With
-    audit_interval 0 no window continuants are kept at all.
+    each checkpoint window.  The window state is the running product
+    [[W11, W12], [W21, W22]] of the matrices [[a, 1], [1, 0]] of its digits:
+    W11 = K(window digits), W21 = K(window digits minus the first), and
+    q_end = W11 q_start + W21 q_{start-1}, so the float value must stay
+    within audit_tol of  log q_start + ln W11 + log1p((W21/W11) * ratio_start).
+    With audit_interval 0 no window product is kept at all.
+
+    update_many is the vectorised form of a loop of update calls and gives
+    the same bits: the recurrence runs lane-parallel (_ratio_recurrence),
+    the logs are math.log's, summed left to right, and each window product
+    comes from a pairwise tree (_continuant_products).
     """
 
     def __init__(self, audit_interval: int = DEFAULT_CONFIG.checkpoint_interval,
                  audit_tol: float = 1e-6):
+        if audit_interval < 0:
+            raise ValueError("audit_interval must be >= 0")
         self.n = 0
         self.logq = 0.0
         self.ratio = 0.0  # q_{n-1} / q_n
@@ -393,8 +523,7 @@ class GrowthTracker:
         self._reset_window()
 
     def _reset_window(self) -> None:
-        self._w_cur, self._w_prev = 1, 0
-        self._v_cur, self._v_prev = 1, 0
+        self._window = _IDENTITY
         self._window_digits = 0
         self._logq_start = self.logq
         self._ratio_start = self.ratio
@@ -408,20 +537,62 @@ class GrowthTracker:
         self.n += 1
         if not self.audit_interval:
             return
-        self._w_cur, self._w_prev = a * self._w_cur + self._w_prev, self._w_cur
-        if self._window_digits > 0:
-            self._v_cur, self._v_prev = a * self._v_cur + self._v_prev, self._v_cur
+        w11, w12, w21, w22 = self._window  # times [[a, 1], [1, 0]]:
+        self._window = (a * w11 + w12, w11, a * w21 + w22, w21)
         self._window_digits += 1
         if self._window_digits >= self.audit_interval:
-            self._audit()
+            self._audit(self._window[0], self._window[2])
 
     def update_many(self, digits: Iterable[int]) -> None:
-        for a in digits:
-            self.update(int(a))
+        """update() on each digit in turn, at most GROWTH_CHUNK digits at a
+        time; every digit is checked before any state changes."""
+        a = (np.asarray(digits, dtype=np.int64) if isinstance(digits, np.ndarray)
+             else np.fromiter(digits, np.int64))
+        if len(a) and a.min() < 1:
+            raise ValueError("digits must be >= 1")
+        lo = 0
+        while lo < len(a):
+            size = GROWTH_CHUNK
+            if 0 < self.audit_interval <= size:
+                # end the chunk where an audit window ends
+                size -= (self._window_digits + size) % self.audit_interval
+            self._update_chunk(a[lo:lo + size])
+            lo += size
 
-    def _audit(self) -> None:
-        expected = (self._logq_start + math.log(self._w_cur)
-                    + math.log1p(self._v_cur / self._w_cur * self._ratio_start))
+    def _update_chunk(self, a: np.ndarray) -> None:
+        t = _ratio_recurrence(a, self.ratio)
+        logq = np.fromiter(map(math.log, t.tolist()), np.float64, len(t))
+        logq[0] += self.logq
+        np.cumsum(logq, out=logq)
+        n0 = self.n
+        if self.audit_interval:
+            # the audits of this chunk fall after these many of its digits
+            ends = np.arange(self.audit_interval - self._window_digits,
+                             len(a) + 1, self.audit_interval)
+            lo = 0
+            if len(ends):
+                columns = _continuant_products(
+                    a, np.concatenate(([0], ends)), column=True)
+                for hi, (c11, c21) in zip(ends.tolist(), columns):
+                    # the window's first column is its state times (c11, c21)
+                    w11, w12, w21, w22 = self._window
+                    self.n = n0 + hi
+                    self.logq = float(logq[hi - 1])
+                    self.ratio = float(1.0 / t[hi - 1])
+                    self._audit(w11 * c11 + w12 * c21, w21 * c11 + w22 * c21)
+                lo = int(ends[-1])
+            if lo < len(a):
+                (product,) = _continuant_products(a, np.array([lo, len(a)]))
+                self._window = _matmul2(self._window, product)
+                self._window_digits += len(a) - lo
+        self.n = n0 + len(a)
+        self.logq = float(logq[-1])
+        self.ratio = float(1.0 / t[-1])
+
+    def _audit(self, w11: int, w21: int) -> None:
+        """Check logq against the window's first column (W11, W21)."""
+        expected = (self._logq_start + math.log(w11)
+                    + math.log1p(w21 / w11 * self._ratio_start))
         rel = abs(self.logq - expected) / max(1.0, abs(self.logq))
         if rel > self.max_audit_rel_err:
             self.max_audit_rel_err = rel
@@ -523,7 +694,7 @@ def normality_report(kind: SequenceKind, convention: Convention, n: int,
     rows = _pattern_rows(digits, patterns, n)
 
     tracker = GrowthTracker(audit_interval=config.checkpoint_interval if audit else 0)
-    tracker.update_many(digits[:n].tolist())
+    tracker.update_many(digits[:n])
 
     report = NormalityReport(
         params={

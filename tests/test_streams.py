@@ -139,6 +139,25 @@ class TestVectorizedGeneration:
             f"computed {sum(computed)} digits for {n} in {len(blocks)} blocks")
         assert len(blocks) <= 40, f"{len(blocks)} blocks for {n} digits"
 
+    @pytest.mark.parametrize("conv", list(Convention))
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_every_kind_computes_within_five_percent(self, monkeypatch,
+                                                     kind, conv):
+        # later blocks sit at higher denominators, where expansions are
+        # longer than in the block that measured digits per pair
+        computed = []
+
+        def counting_matrix(num, den, convention):
+            mat, lengths = digit_matrix(num, den, convention)
+            computed.append(int(lengths.sum()))
+            return mat, lengths
+
+        monkeypatch.setattr(streams, "digit_matrix", counting_matrix)
+        n = 10 ** 6
+        assert len(digit_block(kind, conv, n)) == n
+        assert sum(computed) <= 1.05 * n, (
+            f"computed {sum(computed)} digits for {n} in {len(computed)} blocks")
+
 
 def test_convention_independence_of_digit_frequencies(long_digits):
     """Both conventions must see the same s=[1] frequency at N=10**6.
@@ -276,6 +295,104 @@ class TestGrowthTracker:
             tracker.update(0)
         with pytest.raises(ValueError):
             tracker.rate
+        with pytest.raises(ValueError):
+            GrowthTracker(audit_interval=-1)
+
+    def test_update_many_rejects_bad_digits_before_any_update(self):
+        tracker = GrowthTracker(audit_interval=10)
+        tracker.update_many([3, 1, 4])
+        before = _growth_state(tracker)
+        with pytest.raises(ValueError, match="digits must be >= 1"):
+            tracker.update_many(np.array([1, 5, 9, 2, 0, 6]))
+        assert _growth_state(tracker) == before
+
+
+def _growth_state(tracker):
+    return (tracker.logq, tracker.ratio, tracker.n, tracker.max_audit_rel_err)
+
+
+def _loop_tracker(digits, audit_interval=10 ** 4):
+    """The reference: one scalar update per digit."""
+    tracker = GrowthTracker(audit_interval=audit_interval)
+    for a in digits:
+        tracker.update(int(a))
+    return tracker
+
+
+def _assert_same_bits(digits, audit_interval=10 ** 4):
+    vectorised = GrowthTracker(audit_interval=audit_interval)
+    vectorised.update_many(digits)
+    expected = _growth_state(_loop_tracker(digits, audit_interval))
+    assert _growth_state(vectorised) == expected
+
+
+class TestGrowthTrackerVectorised:
+    """update_many against a loop of update calls, compared with ==."""
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_stream_digits_of_every_kind(self, long_digits, kind):
+        # crosses the 2**16-digit chunk boundary
+        _assert_same_bits(long_digits[kind][:100_000])
+
+    def test_ones_contract_slowest(self):
+        _assert_same_bits(np.ones(10 ** 5, dtype=np.int64))
+
+    def test_large_digits_need_python_int_products(self):
+        rng = np.random.default_rng(5)
+        digits = rng.integers(1, 10 ** 6 + 1, 30_000)
+        products = streams._continuant_products(digits, np.array([0, 4, 30_000]))
+        assert products[0][0] == continuant_den(digits[:4].tolist()) > 2 ** 63
+        _assert_same_bits(digits)
+        _assert_same_bits(digits, audit_interval=1)
+
+    @pytest.mark.parametrize("chunk,interval,n", [
+        (streams.GROWTH_CHUNK, 10 ** 4, 150_001),
+        (1000, 333, 5_000),
+        (1000, 1, 2_500),
+        (64, 10 ** 4, 25_000),
+        (777, 10 ** 6, 4_000),
+    ])
+    def test_chunk_and_audit_boundaries(self, monkeypatch, long_digits,
+                                        chunk, interval, n):
+        monkeypatch.setattr(streams, "GROWTH_CHUNK", chunk)
+        _assert_same_bits(long_digits[SequenceKind.TYPE2][:n], interval)
+
+    def test_mixed_with_scalar_updates(self, long_digits):
+        digits = long_digits[SequenceKind.ALL_LOWEST_TERMS][:60_000].tolist()
+        cuts = [0, 12_345, 12_350, 31_000, 31_001, 60_000]
+        tracker = GrowthTracker(audit_interval=1000)
+        for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            if i % 2:
+                for a in digits[lo:hi]:
+                    tracker.update(a)
+            else:
+                tracker.update_many(digits[lo:hi])
+        assert _growth_state(tracker) == _growth_state(
+            _loop_tracker(digits, 1000))
+        assert tracker.max_audit_rel_err > 0.0
+
+    @pytest.mark.parametrize("warmup", [0, 3])
+    def test_lane_repair_keeps_the_bits(self, monkeypatch, long_digits, warmup):
+        # lanes that start too late disagree with the lane before them and
+        # are recomputed from the exact value
+        monkeypatch.setattr(streams, "GROWTH_WARMUP", warmup)
+        digits = long_digits[SequenceKind.TYPE1][:50_000]
+        t = streams._ratio_recurrence(digits, 0.25)
+        ref = []
+        r = 0.25
+        for a in digits.tolist():
+            ref.append(a + r)
+            r = 1.0 / ref[-1]
+        assert t.tolist() == ref
+        _assert_same_bits(digits)
+
+    def test_drift_between_calls_is_caught(self):
+        tracker = GrowthTracker(audit_interval=100)
+        tracker.update_many(np.ones(150, dtype=np.int64))
+        tracker.logq += 5.0
+        with pytest.raises(ArithmeticError, match="at n=200"):
+            tracker.update_many(np.ones(100, dtype=np.int64))
+        assert tracker.n == 200
 
 
 class TestNormalityReport:
