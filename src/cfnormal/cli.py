@@ -18,12 +18,13 @@ import numpy as np
 
 from .census import NormalityParams, resolve_threads, run_census
 from .core import Convention, Rational, convergents, expand
-from .enumeration import SequenceKind, count_R
+from .enumeration import SequenceKind, count_R, members_at
 from .errors import ResourceLimitError
 from .measures import Pattern, constants
 from .sieves import pi_prime_joint, pi_prime_linear
-from .streams import (DigitStream, digit_block, encode_varints, format_header,
-                      hypothesis_ratios, normality_report)
+from .streams import (digit_block, digit_matrix, encode_varints,
+                      flatten_digit_matrix, format_header, length_ratios,
+                      normality_report)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -90,16 +91,16 @@ def cmd_stream_file(args: argparse.Namespace) -> int:
         indices = [int(t) for t in tokens]
     except ValueError:
         raise ValueError(f"index file {args.path!r} holds non-integer tokens")
-    if any(i < 1 for i in indices):
-        raise ValueError("indices are 1-based and must be >= 1")
-    stream = DigitStream(indices=indices, convention=args.conv)
-    digits = stream.take(args.n) if args.n is not None else list(stream)
+    num, den = members_at(SequenceKind.ALL_LOWEST_TERMS, indices)
+    mat, lengths = digit_matrix(num, den, args.conv)
+    digits = flatten_digit_matrix(mat, lengths)
+    if args.n is not None:
+        digits = digits[:max(args.n, 0)]
     _emit_digits(digits, None, args)
     # Diagnostic ratios need checkpoints at n, 2n, 4n inside the emitted
     # prefix; anything shorter than 4 digits has nothing to report.
     if len(digits) >= 4:
-        fresh = DigitStream(indices=indices, convention=args.conv)
-        report = hypothesis_ratios(fresh, n=len(digits) // 4)
+        report = length_ratios(lengths, args.conv, len(digits) // 4)
         payload = json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
         if args.report:
             _write_text(args.report, payload)

@@ -9,13 +9,15 @@ times; every other kind ranges over rationals in lowest terms.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from typing import Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import Rational
-from .sieves import coprime_count, get_tables
+from .errors import ResourceLimitError
+from .sieves import SIEVE_LIMIT_MAX, ArithTables, get_tables
 
 Member = Union[Rational, tuple[int, int]]
 
@@ -110,31 +112,56 @@ def enumerate_R(kind: SequenceKind, m: int) -> Iterator[Member]:
             yield _wrap(kind, num, den)
 
 
-def _mobius_and_sf(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    tables = get_tables(limit)
-    sf = tables.is_squarefree[:limit + 1]
-    omega = np.zeros(limit + 1, dtype=np.int8)
-    primes = np.nonzero(tables.is_prime[:limit + 1])[0]
-    for p in primes:
-        omega[p::p] += 1
-    mob = np.where(sf, np.where(omega % 2 == 0, 1, -1), 0).astype(np.int64)
-    mob[0] = 0
-    return mob, sf
+def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:
+    """Members with denominator d, for d = 0..tables.limit (not squarefree)."""
+    isp = tables.is_prime
+    if kind is SequenceKind.ALL_LOWEST_TERMS:
+        counts = tables.phi.astype(np.int64)
+        counts[:2] = 0
+        return counts
+    if kind is SequenceKind.TYPE1:
+        return np.where(isp, np.arange(tables.limit + 1, dtype=np.int64) - 1, 0)
+    pi = np.cumsum(isp, dtype=np.int64)
+    if kind is SequenceKind.TYPE3:
+        return np.where(isp, pi - 1, 0)
+    if kind is SequenceKind.TYPE2:
+        # primes below d that do not divide it: pi(d-1) - (omega(d) - [d prime])
+        counts = np.zeros(tables.limit + 1, dtype=np.int64)
+        counts[2:] = pi[1:-1] - tables.omega[2:] + isp[2:]
+        return counts
+    raise AssertionError(kind)  # pragma: no cover
+
+
+def _cumulative(kind: SequenceKind, m: int) -> np.ndarray:
+    """cum[d] = count_R(kind, d) for d = 0..limit of the shared tables,
+    which cover at least m; kept on the tables, so growing them rebuilds it."""
+    tables = get_tables(m)
+    if kind not in tables.cumulative:
+        counts = _per_den_counts(kind, tables)
+        tables.cumulative[kind] = np.cumsum(counts, out=counts)
+    return tables.cumulative[kind]
 
 
 def _count_squarefree_both(m: int) -> int:
     # Pairs (a, q), a < q <= m, both squarefree and coprime.  With
     # S_d = #{n <= m : d | n, n squarefree}, inclusion-exclusion over the
     # common divisor gives  sum_d mu(d) S_d^2  ordered pairs including (1,1),
-    # hence (that sum - 1) / 2 pairs with a < q.
-    mob, sf = _mobius_and_sf(m)
-    total = 0
-    for d in range(1, m + 1):
-        if mob[d] == 0:
-            continue
-        s_d = int(np.count_nonzero(sf[d::d]))
-        total += int(mob[d]) * s_d * s_d
-    return (total - 1) // 2
+    # hence (that sum - 1) / 2 pairs with a < q.  S_d takes one slice for
+    # each d <= sqrt(m); for d > sqrt(m) the multiples are k * d with
+    # k < sqrt(m), one vectorised pass for each k.
+    tables = get_tables(m)
+    sf = tables.is_squarefree[:m + 1]
+    mob = 1 - 2 * (tables.omega[:m + 1] & 1)
+    mob[~sf] = 0
+    root = math.isqrt(m)
+    s = np.zeros(m + 1, dtype=np.int64)
+    for d in range(1, root + 1):
+        s[d] = np.count_nonzero(sf[d::d])
+    above = s[root + 1:]
+    for k in range(1, m // (root + 1) + 1):
+        top = m // k
+        above[:top - root] += sf[k * (root + 1):k * top + 1:k]
+    return (int(np.dot(mob, s * s)) - 1) // 2
 
 
 def count_R(kind: SequenceKind, m: int) -> int:
@@ -145,95 +172,101 @@ def count_R(kind: SequenceKind, m: int) -> int:
         return m * (m - 1) // 2
     if m < 2:
         return 0
-    tables = get_tables(m)
-    if kind is SequenceKind.ALL_LOWEST_TERMS:
-        return tables.phi_summatory(m) - 1
     if kind is SequenceKind.SQUAREFREE_BOTH:
         return _count_squarefree_both(m)
-    isp = tables.is_prime[:m + 1]
-    if kind is SequenceKind.TYPE1:
-        primes = np.nonzero(isp)[0]
-        return int((primes - 1).sum())
-    pi = np.cumsum(isp.astype(np.int64))
-    if kind is SequenceKind.TYPE3:
-        primes = np.nonzero(isp)[0]
-        return int((pi[primes] - 1).sum())
-    if kind is SequenceKind.TYPE2:
-        omega = np.zeros(m + 1, dtype=np.int64)
-        for p in np.nonzero(isp)[0]:
-            omega[p::p] += 1
-        ns = np.arange(2, m + 1)
-        per_den = pi[ns - 1] - omega[ns] + isp[ns]
-        return int(per_den.sum())
-    raise AssertionError(kind)  # pragma: no cover
+    return int(_cumulative(kind, m)[m])
 
 
-def _position_in_den(kind: SequenceKind, num: int, den: int) -> int:
-    """1-based position of num among the kind's numerators for den."""
-    tables = get_tables(den)
-    if kind is SequenceKind.ALL_WITH_DUPLICATES or kind is SequenceKind.TYPE1:
-        return num
-    if kind is SequenceKind.ALL_LOWEST_TERMS:
-        return coprime_count(num, den)
-    if kind is SequenceKind.SQUAREFREE_BOTH:
-        sf = tables.is_squarefree
-        return sum(1 for k in range(1, num + 1)
-                   if sf[k] and math.gcd(k, den) == 1)
-    pi = np.cumsum(tables.is_prime[:den].astype(np.int64))
-    if kind is SequenceKind.TYPE3:
-        return int(pi[num])
-    if kind is SequenceKind.TYPE2:
-        dividing = sum(1 for p in set(_prime_factors(den)) if p <= num)
-        return int(pi[num]) - dividing
-    raise AssertionError(kind)  # pragma: no cover
+def _aks_dup_at(i: int) -> tuple[int, int]:
+    # count over dens <= n is n(n-1)/2; find the smallest den covering i
+    den = max(2, math.isqrt(2 * i))
+    while den * (den - 1) // 2 < i:
+        den += 1
+    while den > 2 and (den - 1) * (den - 2) // 2 >= i:
+        den -= 1
+    return (i - (den - 1) * (den - 2) // 2, den)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+def _bisect_den(i: int, count: Callable[[int], int]) -> int:
+    """Smallest m with count(m) >= i, by bisection."""
+    lo, hi = 1, max(2, math.isqrt(2 * i))
+    while count(hi) < i:
+        if hi >= SIEVE_LIMIT_MAX:
+            raise ResourceLimitError(f"index {i} lies beyond the sieve limit")
+        lo, hi = hi, min(2 * hi, SIEVE_LIMIT_MAX)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if count(mid) >= i:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def _is_member(kind: SequenceKind, num: int, den: int) -> bool:
-    if not 0 < num < den:
-        return False
-    tables = get_tables(den)
-    isp = tables.is_prime
-    sf = tables.is_squarefree
+def members_at(kind: SequenceKind, indices: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den) int64 arrays of the members at the given 1-based indices.
+
+    The denominator comes from a searchsorted on the cumulative count (a
+    bisection over count_R for squarefree, which has no per-denominator
+    count), the numerator from that denominator's row of members_block,
+    built once for each distinct denominator, so the tables reach the
+    largest denominator only.  Since count_R(kind, m) <= m(m-1)/2, index i
+    needs a denominator of at least sqrt(2i): an index that puts this
+    bound past the sieve limit is refused before any table is built.
+    """
+    if not len(indices):
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    if min(indices) < 1:
+        raise ValueError("indices are 1-based and must be >= 1")
     if kind is SequenceKind.ALL_WITH_DUPLICATES:
-        return True
-    if math.gcd(num, den) != 1:
-        return False
-    if kind is SequenceKind.ALL_LOWEST_TERMS:
-        return True
+        pairs = np.array([_aks_dup_at(i) for i in indices], dtype=np.int64)
+        return pairs[:, 0], pairs[:, 1]
+    top = max(indices)
+    if 2 * top > SIEVE_LIMIT_MAX ** 2:
+        raise ResourceLimitError(
+            f"index {top} needs a denominator above the sieve limit "
+            f"{SIEVE_LIMIT_MAX}")
+    idx = np.asarray(indices, dtype=np.int64)
     if kind is SequenceKind.SQUAREFREE_BOTH:
-        return bool(sf[num] and sf[den])
-    if kind is SequenceKind.TYPE1:
-        return bool(isp[den])
-    if kind is SequenceKind.TYPE2:
-        return bool(isp[num])
-    if kind is SequenceKind.TYPE3:
-        return bool(isp[num] and isp[den])
-    raise AssertionError(kind)  # pragma: no cover
+        count = functools.lru_cache(maxsize=None)(
+            functools.partial(count_R, kind))
+        dens = np.array([_bisect_den(i, count) for i in idx.tolist()],
+                        dtype=np.int64)
+        below = np.array([count(d - 1) for d in dens.tolist()], dtype=np.int64)
+    else:
+        cum = _cumulative(kind, max(2, math.isqrt(2 * top)))
+        while cum[-1] < top:
+            cum = _cumulative(kind, len(cum))
+        dens = np.searchsorted(cum, idx)
+        below = cum[dens - 1]
+    offsets = idx - below - 1
+    nums = np.empty_like(dens)
+    order = np.argsort(dens, kind="stable")
+    sorted_dens = dens[order]
+    starts = np.flatnonzero(np.diff(sorted_dens, prepend=0)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        d = int(sorted_dens[lo])
+        rows = order[lo:hi]
+        nums[rows] = members_block(kind, d, d + 1)[0][offsets[rows]]
+    return nums, dens
 
 
 def index_of(kind: SequenceKind, r: Member) -> int:
-    """1-based index of a member within its kind's ordering."""
+    """1-based index of a member within its kind's ordering: the count
+    below its denominator plus its place in that denominator's row."""
     if isinstance(r, Rational):
         num, den = r.num, r.den
     else:
         num, den = r
-    if not _is_member(kind, num, den):
-        raise ValueError(f"{num}/{den} is not a member of {kind.value}")
-    return count_R(kind, den - 1) + _position_in_den(kind, num, den)
+    if 0 < num < den:
+        if kind is SequenceKind.ALL_WITH_DUPLICATES:
+            return (den - 1) * (den - 2) // 2 + num
+        row = members_block(kind, den, den + 1)[0]
+        pos = int(np.searchsorted(row, num))
+        if pos < len(row) and row[pos] == num:
+            return count_R(kind, den - 1) + pos + 1
+    raise ValueError(f"{num}/{den} is not a member of {kind.value}")
 
 
 def rational_at(kind: SequenceKind, i: int) -> Member:
@@ -241,31 +274,9 @@ def rational_at(kind: SequenceKind, i: int) -> Member:
     if i < 1:
         raise ValueError("index must be >= 1")
     if kind is SequenceKind.ALL_WITH_DUPLICATES:
-        # count over dens <= n is n(n-1)/2; find the smallest den covering i
-        den = max(2, math.isqrt(2 * i))
-        while den * (den - 1) // 2 < i:
-            den += 1
-        while den > 2 and (den - 1) * (den - 2) // 2 >= i:
-            den -= 1
-        return (i - (den - 1) * (den - 2) // 2, den)
-    hi = 4
-    while count_R(kind, hi) < i:
-        hi *= 2
-        if hi > 10 ** 9:
-            raise ValueError(f"index {i} out of reachable range")
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count_R(kind, mid) >= i:
-            hi = mid
-        else:
-            lo = mid + 1
-    den = lo
-    offset = i - count_R(kind, den - 1)
-    for pos, num in enumerate(_numerators(kind, den), start=1):
-        if pos == offset:
-            return _wrap(kind, num, den)
-    raise AssertionError("count_R disagrees with _numerators")  # pragma: no cover
+        return _aks_dup_at(i)
+    num, den = members_at(kind, [i])
+    return _wrap(kind, int(num[0]), int(den[0]))
 
 
 def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,13 +47,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass
 class ArithTables:
-    """Primality, totient, squarefree, and divisor-count tables on 0..limit."""
+    """Primality, totient, squarefree and distinct-prime-count tables on 0..limit."""
 
     limit: int
     is_prime: np.ndarray
     phi: np.ndarray
     is_squarefree: np.ndarray
-    divisor_count: np.ndarray
+    omega: np.ndarray
+    #: per-kind cumulative member counts over 0..limit, kept by enumeration
+    cumulative: dict = field(default_factory=dict, repr=False, compare=False)
 
     def phi_summatory(self, m: int) -> int:
         """Phi(m) = sum of phi(n) for 1 <= n <= m."""
@@ -61,41 +63,57 @@ class ArithTables:
             raise ValueError(f"need 1 <= m <= {self.limit}, got {m}")
         return int(self.phi[1:m + 1].sum())
 
-    def prime_count_upto(self) -> np.ndarray:
-        """pi(n) for n = 0..limit as an int64 array (computed on demand)."""
-        return np.cumsum(self.is_prime.astype(np.int64))
+
+#: entries per pass when the factor above sqrt(limit) is folded in
+_COFACTOR_CHUNK = 1 << 16
 
 
 def build_tables(limit: int) -> ArithTables:
-    """Sieve all four tables up to limit (inclusive)."""
+    """Sieve all four tables up to limit (inclusive).
+
+    phi and omega loop over the primes p <= sqrt(limit) only, dividing each
+    p out of an int32 cofactor array.  What is left of the cofactor is 1 or
+    the one prime factor above sqrt(limit) that a number can have, and one
+    chunked pass folds that factor in.  phi is int32: phi(n) <= limit.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if limit > SIEVE_LIMIT_MAX:
         raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
     n = limit + 1
+    root = math.isqrt(limit)
     isp = np.ones(n, dtype=bool)
     isp[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if isp[p]:
-            isp[p * p::p] = False
-
-    primes = np.nonzero(isp)[0]
-    phi = np.arange(n, dtype=np.int64)
-    for p in primes:
-        phi[p::p] = phi[p::p] // p * (p - 1)
-
     sf = np.ones(n, dtype=bool)
     sf[0] = False
-    for p in range(2, math.isqrt(limit) + 1):
+    for p in range(2, root + 1):
         if isp[p]:
+            isp[p * p::p] = False
             sf[p * p::p * p] = False
 
-    dc = np.zeros(n, dtype=np.int32)
-    for i in range(1, n):
-        dc[i::i] += 1
+    phi = np.arange(n, dtype=np.int32)
+    omega = np.zeros(n, dtype=np.int8)
+    cofactor = np.arange(n, dtype=np.int32)
+    for p in np.nonzero(isp[:root + 1])[0].tolist():
+        # in-place on views: phi of every multiple of p is still divisible by p
+        view = phi[p::p]
+        view //= p
+        view *= p - 1
+        view = omega[p::p]
+        view += 1
+        power = p
+        while power <= limit:
+            view = cofactor[power::power]
+            view //= p
+            power *= p
+    for lo in range(0, n, _COFACTOR_CHUNK):
+        big = np.nonzero(cofactor[lo:lo + _COFACTOR_CHUNK] > 1)[0] + lo
+        q = cofactor[big]
+        phi[big] = phi[big] // q * (q - 1)
+        omega[big] += 1
 
     return ArithTables(limit=limit, is_prime=isp, phi=phi,
-                       is_squarefree=sf, divisor_count=dc)
+                       is_squarefree=sf, omega=omega)
 
 
 _CACHED: Optional[ArithTables] = None

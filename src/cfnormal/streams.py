@@ -785,6 +785,28 @@ def hypothesis_ratios(kind_or_stream: Union[SequenceKind, DigitStream],
     return RatioReport(params=params, rows=rows)
 
 
+def length_ratios(lengths: np.ndarray, convention: Convention,
+                  n: int) -> RatioReport:
+    """hypothesis_ratios of an index stream from its expansion lengths.
+
+    lengths[j] is the digit count of the stream's (j+1)-th rational; the
+    rational holding digit N is the first whose cumulative length reaches N.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    if total < 4 * n:
+        raise ValueError(f"stream ended at {total} digits; need {4 * n}")
+    longest = np.maximum.accumulate(lengths)
+    rows = []
+    for target in (n, 2 * n, 4 * n):
+        m = int(np.searchsorted(ends, target)) + 1
+        rows.append(RatioRow(n=target, m=m, sum_len=int(ends[m - 1]),
+                             max_len=int(longest[m - 1])))
+    return RatioReport(params={"conv": convention.value, "N": n}, rows=rows)
+
+
 CFDIGITS_HEADER_VERSION = "cfdigits v1"
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,7 @@ from cfnormal.cli import _emit_digits, build_parser, main
 from cfnormal.core import Convention
 from cfnormal.enumeration import SequenceKind
 from cfnormal.sieves import pi_prime_joint, pi_prime_linear
-from cfnormal.streams import DigitStream, decode_varints
+from cfnormal.streams import DigitStream, decode_varints, hypothesis_ratios
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -160,6 +161,56 @@ class TestStreamFile:
         src.write_text("1")
         out = run_ok(capsys, ["stream-file", str(src), "--header"]).out
         assert out.startswith("cfdigits v1 kind=indices conv=long\n")
+
+
+class TestStreamFileBlockPath:
+    """stream-file resolves every index at once and runs digit_matrix; the
+    scalar DigitStream plus hypothesis_ratios is its oracle."""
+
+    @pytest.fixture(scope="class")
+    def indices(self):
+        rng = np.random.default_rng(8675309)
+        picks = rng.integers(1, 10 ** 6, size=1600, endpoint=True)
+        # repeats, both adjacent and far apart
+        picks = np.concatenate([picks, picks[:300], np.repeat(picks[:50], 2)])
+        return rng.permutation(picks).tolist()
+
+    @pytest.fixture(scope="class")
+    def oracle(self, indices):
+        return DigitStream(indices=indices, convention=Convention.LONG).take(
+            10 ** 9)
+
+    @pytest.mark.parametrize("extra", [[], ["--varint"], ["--header"],
+                                       ["-n", "777"],
+                                       ["--varint", "--header", "-n", "777"]])
+    def test_equals_scalar_stream(self, extra, indices, oracle, tmp_path,
+                                  capsys):
+        assert len(indices) == 2000
+        src = tmp_path / "indices.txt"
+        src.write_text("\n".join(str(i) for i in indices))
+        out, report = tmp_path / "digits", tmp_path / "ratios.json"
+        run_ok(capsys, ["stream-file", str(src), "--out", str(out),
+                        "--report", str(report)] + extra)
+        want = oracle[:777] if "-n" in extra else oracle
+        data = out.read_bytes()
+        if "--header" in extra:
+            head, data = data.split(b"\n", 1)
+            assert head == b"cfdigits v1 kind=indices conv=long"
+        if "--varint" in extra:
+            assert decode_varints(data) == want
+        else:
+            assert data.decode("ascii") == " ".join(map(str, want))
+        fresh = DigitStream(indices=indices, convention=Convention.LONG)
+        expected = hypothesis_ratios(fresh, n=len(want) // 4).to_json_dict()
+        assert json.loads(report.read_text()) == expected
+
+    def test_unreachable_index_exits_4_fast(self, tmp_path, capsys):
+        src = tmp_path / "indices.txt"
+        src.write_text(f"5 {10 ** 17} 7")
+        start = time.perf_counter()
+        assert main(["stream-file", str(src)]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert "sieve limit" in capsys.readouterr().err
 
 
 class TestStats:

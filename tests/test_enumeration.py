@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from cfnormal.core import Rational
 from cfnormal.enumeration import (SequenceKind, count_R, enumerate_R,
-                                  index_of, iter_members, members_block,
-                                  rational_at)
+                                  index_of, iter_members, members_at,
+                                  members_block, rational_at)
+from cfnormal.errors import ResourceLimitError
 
 all_kinds = st.sampled_from(list(SequenceKind))
 
@@ -126,3 +128,68 @@ def test_members_block_empty_ranges():
     assert len(num) == 0 and len(den) == 0
     num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, 10, 10)
     assert len(num) == 0
+
+
+def _pick(kind, num, den):
+    return (int(num), int(den)) if kind is SequenceKind.ALL_WITH_DUPLICATES \
+        else Rational(int(num), int(den))
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+@pytest.mark.parametrize("m", [1000, 3000])
+def test_count_matches_members_block(kind, m):
+    assert count_R(kind, m) == len(members_block(kind, 2, m + 1)[0])
+
+
+def test_count_exact_values_at_scale():
+    assert count_R(SequenceKind.TYPE2, 10 ** 6) == 40944822767
+    assert count_R(SequenceKind.SQUAREFREE_BOTH, 200_000) == 5734572545
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_index_path_agrees_with_members_block(kind):
+    num, den = members_block(kind, 2, 2001)
+    top = count_R(kind, 2000)
+    assert top == len(num)
+    rng = np.random.default_rng(20260518)
+    picks = np.concatenate([[1, 2, top - 1, top],
+                            rng.integers(1, top, size=200, endpoint=True)])
+    for i in picks.tolist():
+        member = _pick(kind, num[i - 1], den[i - 1])
+        assert rational_at(kind, i) == member
+        assert index_of(kind, member) == i
+    got_num, got_den = members_at(kind, picks.tolist())
+    assert np.array_equal(got_num, num[picks - 1])
+    assert np.array_equal(got_den, den[picks - 1])
+
+
+def test_round_trip_at_a_billion():
+    member = rational_at(SequenceKind.ALL_LOWEST_TERMS, 10 ** 9)
+    assert index_of(SequenceKind.ALL_LOWEST_TERMS, member) == 10 ** 9
+    assert count_R(SequenceKind.ALL_LOWEST_TERMS, member.den - 1) < 10 ** 9 \
+        <= count_R(SequenceKind.ALL_LOWEST_TERMS, member.den)
+
+
+def test_unreachable_index_is_refused_before_any_sieve():
+    far = 10 ** 17
+    start = time.perf_counter()
+    for kind in SequenceKind:
+        if kind is SequenceKind.ALL_WITH_DUPLICATES:
+            continue
+        with pytest.raises(ResourceLimitError):
+            rational_at(kind, far)
+        with pytest.raises(ResourceLimitError):
+            members_at(kind, [1, far])
+    assert time.perf_counter() - start < 1.0
+    # aks-dup needs no tables, so any index resolves in closed form
+    num, den = rational_at(SequenceKind.ALL_WITH_DUPLICATES, far)
+    assert index_of(SequenceKind.ALL_WITH_DUPLICATES, (num, den)) == far
+
+
+def test_members_at_edges():
+    num, den = members_at(SequenceKind.ALL_LOWEST_TERMS, [])
+    assert len(num) == 0 and len(den) == 0
+    with pytest.raises(ValueError):
+        members_at(SequenceKind.TYPE2, [3, 0])
+    num, den = members_at(SequenceKind.ALL_WITH_DUPLICATES, [1, 3, 1])
+    assert num.tolist() == [1, 2, 1] and den.tolist() == [2, 3, 2]

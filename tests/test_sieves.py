@@ -43,13 +43,24 @@ class TestTables:
                                    if math.gcd(k, n) == 1)
             assert bool(t.is_squarefree[n]) == all(
                 n % (p * p) != 0 for p in range(2, math.isqrt(n) + 1))
-            assert t.divisor_count[n] == sum(1 for d in range(1, n + 1)
-                                             if n % d == 0)
+            assert t.omega[n] == sum(1 for p in range(2, n + 1)
+                                     if n % p == 0 and _trial_division(p))
 
     def test_prime_count(self):
-        pi = get_tables(10 ** 4).prime_count_upto()
-        assert int(pi[10 ** 4]) == 1229
-        assert int(pi[100]) == 25
+        isp = get_tables(10 ** 4).is_prime
+        assert np.count_nonzero(isp[:10 ** 4 + 1]) == 1229
+        assert np.count_nonzero(isp[:101]) == 25
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 48, 49, 50, 961, 1000])
+    def test_large_prime_factor_pass(self, limit):
+        # limits at and around squares: the factor above sqrt(limit) is
+        # added by its own pass, so the edges of that range matter
+        t = build_tables(limit)
+        for n in range(1, limit + 1):
+            assert t.phi[n] == sum(1 for k in range(1, n + 1)
+                                   if math.gcd(k, n) == 1), (limit, n)
+            assert t.omega[n] == sum(1 for p in range(2, n + 1)
+                                     if n % p == 0 and _trial_division(p))
 
     def test_cache_grows(self):
         small = get_tables(50)
