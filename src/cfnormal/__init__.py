@@ -72,7 +72,6 @@ from .streams import (
     FrequencyTracker,
     GrowthTracker,
     NormalityReport,
-    StreamConfig,
     count_patterns,
     digit_block,
     hypothesis_ratios,

@@ -19,11 +19,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Convention, Rational, expand
+from .core import Convention, Rational, continuants, expand
 from .enumeration import SequenceKind, count_R, members_block
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
@@ -31,6 +31,8 @@ from .streams import digit_matrix
 
 CENSUS_ROW_LIMIT = 2 * 10 ** 8
 ORBIT_DEPTH_CAP = 40
+#: estimate_measure samples this many rows at a time
+SAMPLE_BLOCK = 1 << 16
 
 
 def resolve_threads(value: Optional[int] = None) -> int:
@@ -79,11 +81,12 @@ def digit_length(r: Rational, convention: Convention = Convention.LONG) -> int:
     return len(expand(r, convention))
 
 
-def _occurrences(digits: Sequence[int], s_digits: tuple[int, ...]) -> int:
-    """Occurrences of s lying fully inside the digit string (overlaps count)."""
+def _window_count(digits: Sequence[int], s_digits: tuple[int, ...],
+                  starts: int) -> int:
+    """#{0 <= i < starts : digits[i:i+k] == s}; overlaps count."""
     k = len(s_digits)
     total = 0
-    for i in range(len(digits) - k + 1):
+    for i in range(starts):
         if tuple(digits[i:i + k]) == s_digits:
             total += 1
     return total
@@ -100,7 +103,7 @@ def is_eps_s_normal(r: Rational, p: NormalityParams) -> NormalityCheck:
     """
     digits = expand(r, p.convention).digits
     length = len(digits)
-    a = _occurrences(digits, p.s.digits)
+    a = _window_count(digits, p.s.digits, length - len(p.s) + 1)
     mu = gauss_measure(p.s)
     log_den = math.log(r.den)
     freq_dev = abs(a / length - mu)
@@ -118,21 +121,14 @@ def is_eps_s_normal(r: Rational, p: NormalityParams) -> NormalityCheck:
 # ---------------------------------------------------------------------------
 # vectorized classification over denominator blocks
 
-def _block_lengths_mask(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    return np.arange(mat.shape[1]) < lengths[:, None]
-
-
 def _block_occurrences(mat: np.ndarray, lengths: np.ndarray,
-                       s_digits: tuple[int, ...],
-                       limit: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rowwise count of s inside each digit row (or inside the first
-    limit[i] digits when limit is given)."""
+                       s_digits: tuple[int, ...]) -> np.ndarray:
+    """Rowwise count of s inside the first lengths[i] digits of row i."""
     k = len(s_digits)
     width = mat.shape[1]
-    bound = lengths if limit is None else np.minimum(lengths, limit)
     counts = np.zeros(mat.shape[0], dtype=np.int64)
     for j in range(width - k + 1):
-        ok = bound >= j + k
+        ok = lengths >= j + k
         for t, d in enumerate(s_digits):
             ok = ok & (mat[:, j + t] == d)
         counts += ok
@@ -296,17 +292,6 @@ class GammaParams:
         return n_delta(self.m, self.delta)
 
 
-def _window_count(digits: Sequence[int], s_digits: tuple[int, ...],
-                  n: int) -> int:
-    """#{0 <= i <= n-k : digits[i:i+k] == s} over the first n digits."""
-    k = len(s_digits)
-    total = 0
-    for i in range(n - k + 1):
-        if tuple(digits[i:i + k]) == s_digits:
-            total += 1
-    return total
-
-
 def in_gamma(r: Rational, gp: GammaParams,
              convention: Convention = Convention.LONG) -> bool:
     """Membership in the exceptional family for (m, delta, s, eta).
@@ -325,12 +310,9 @@ def in_gamma(r: Rational, gp: GammaParams,
     digits = expand(r, convention).digits
     if len(digits) < n:
         return True
-    q_prev, q_cur = 0, 1
-    for a in digits[:n]:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    if abs(math.log(q_cur) / n - KHINCHIN_LEVY) > gp.delta:
+    if abs(math.log(continuant_den(digits[:n])) / n - KHINCHIN_LEVY) > gp.delta:
         return True
-    freq = _window_count(digits, gp.s.digits, n) / n
+    freq = _window_count(digits, gp.s.digits, n - len(gp.s) + 1) / n
     return abs(freq - gauss_measure(gp.s)) > gp.eta
 
 
@@ -348,8 +330,7 @@ def _gamma_block(num: np.ndarray, den: np.ndarray, gp: GammaParams,
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     with np.errstate(divide="ignore", invalid="ignore"):
         growth_bad = np.abs(np.log(q_cur) / n - KHINCHIN_LEVY) > gp.delta
-    counts = _block_occurrences(mat, lengths, gp.s.digits,
-                                limit=np.full(len(num), n, dtype=np.int64))
+    counts = _block_occurrences(mat, np.minimum(lengths, n), gp.s.digits)
     freq_bad = np.abs(counts / n - gauss_measure(gp.s)) > gp.eta
     return short | growth_bad | freq_bad
 
@@ -411,16 +392,13 @@ def gamma_prime_contains(prefix: Sequence[int], gp: GammaParams) -> bool:
                          "the depth-(n-1) denominator")
     if any(d < 1 for d in digits):
         raise ValueError("digits must be >= 1")
-    q_prev, q_cur = 0, 1
-    for a in digits:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    qn, qn1 = q_cur, q_prev
+    _, qn1, _, qn = continuants(digits)
     g = KHINCHIN_LEVY
     if abs(math.log(qn) / n - g) > gp.delta:
         return False
     if abs(math.log(qn1) / (n - 1) - g) > gp.delta / 12.0:
         return False
-    freq = _window_count(digits, gp.s.digits, n) / n
+    freq = _window_count(digits, gp.s.digits, n - len(gp.s) + 1) / n
     return abs(freq - gauss_measure(gp.s)) <= gp.eta
 
 
@@ -429,10 +407,7 @@ def gamma_prime_contains(prefix: Sequence[int], gp: GammaParams) -> bool:
 
 def continuant_den(digits: Sequence[int]) -> int:
     """Exact q of the finite string (big integer)."""
-    q_prev, q_cur = 0, 1
-    for a in digits:
-        q_prev, q_cur = q_cur, int(a) * q_cur + q_prev
-    return q_cur
+    return continuants(digits)[3]
 
 
 def in_E_set(digits: Sequence[int], epsilon: float,
@@ -449,11 +424,7 @@ def in_E_set(digits: Sequence[int], epsilon: float,
         raise ValueError("n must be >= 1")
     if len(digits) < n + k - 1:
         raise ValueError(f"need {n + k - 1} digits, have {len(digits)}")
-    a = 0
-    sd = s.digits
-    for i in range(n):
-        if tuple(digits[i:i + k]) == sd:
-            a += 1
+    a = _window_count(digits, s.digits, n)
     mu_n = gauss_measure(s) * n
     return abs(a - mu_n) > epsilon * mu_n
 
@@ -627,15 +598,14 @@ def merge_estimates(parts: Sequence[MeasureEstimate]) -> MeasureEstimate:
 
 def estimate_measure(predicate: Callable[[np.ndarray], np.ndarray],
                      depth: int, n_samples: int, seed: int = 0,
-                     method: str = "auto",
-                     block_size: int = 1 << 16) -> MeasureEstimate:
+                     method: str = "auto") -> MeasureEstimate:
     """Gauss-measure of a digit-prefix event by direct sampling.
 
     The predicate receives a (rows x depth) digit matrix and must return a
     boolean row mask.  method "orbit" extracts digits by float iteration and
     is refused past ORBIT_DEPTH_CAP digits; "chain" uses the exact sampler at
-    any depth; "auto" picks whichever applies.  Fixed seed, fixed block size
-    give identical results.
+    any depth; "auto" picks whichever applies.  A fixed seed gives identical
+    results; rows are drawn SAMPLE_BLOCK at a time.
     """
     if n_samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
@@ -651,7 +621,7 @@ def estimate_measure(predicate: Callable[[np.ndarray], np.ndarray],
     hits = 0
     done = 0
     while done < n_samples:
-        rows = min(block_size, n_samples - done)
+        rows = min(SAMPLE_BLOCK, n_samples - done)
         if method == "orbit":
             digits = gauss_orbit_digits(rng.random(rows), depth)
         else:
@@ -675,17 +645,29 @@ class GrowthEstimate:
     n_samples: int
 
 
-def mc_growth_rate(depth: int = 100, n_samples: int = 10 ** 4,
-                   seed: int = 0) -> GrowthEstimate:
-    """Mean of (ln q_depth)/depth over Gauss-sampled points."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def _log_growth(n_samples: int, seed: np.random.SeedSequence,
+                steps: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(step, ln q_step of each row) at each of the ascending steps, over
+    n_samples Gauss-sampled points, by ln q_j = ln q_{j-1} + ln(a_j + r) with
+    r = q_{j-2}/q_{j-1}.  The array is updated in place after it is yielded."""
+    rng = np.random.default_rng(seed)
     sampler = GaussDigitSampler(n_samples)
     logq = np.zeros(n_samples)
     ratio = np.zeros(n_samples)
-    for _ in range(depth):
-        t = sampler.step(rng) + ratio
-        logq += np.log(t)
-        ratio = 1.0 / t
+    done = 0
+    for target in steps:
+        for _ in range(target - done):
+            t = sampler.step(rng) + ratio
+            logq += np.log(t)
+            ratio = 1.0 / t
+        done = target
+        yield target, logq
+
+
+def mc_growth_rate(depth: int = 100, n_samples: int = 10 ** 4,
+                   seed: int = 0) -> GrowthEstimate:
+    """Mean of (ln q_depth)/depth over Gauss-sampled points."""
+    ((_, logq),) = _log_growth(n_samples, np.random.SeedSequence(seed), [depth])
     vals = logq / depth
     return GrowthEstimate(mean=float(vals.mean()),
                           stderr=float(vals.std(ddof=1) / math.sqrt(n_samples)),
@@ -797,22 +779,13 @@ def _tilted_tail_run(args) -> dict[int, tuple[float, float]]:
 
 def _f_decay_run(args) -> list[FRow]:
     checkpoints, n_samples, epsilon, seed = args
-    rng = np.random.default_rng(seed)
-    sampler = GaussDigitSampler(n_samples)
-    logq = np.zeros(n_samples)
-    ratio = np.zeros(n_samples)
-    marks = set(checkpoints)
     rows = []
-    for step in range(1, max(checkpoints) + 1):
-        t = sampler.step(rng) + ratio
-        logq += np.log(t)
-        ratio = 1.0 / t
-        if step in marks:
-            hits = int((np.abs(logq / step - KHINCHIN_LEVY) > epsilon).sum())
-            p = hits / n_samples
-            rows.append(FRow(n=step, estimate=p,
-                             stderr=math.sqrt(p * (1.0 - p) / n_samples),
-                             hits=hits))
+    for step, logq in _log_growth(n_samples, seed, checkpoints):
+        hits = int((np.abs(logq / step - KHINCHIN_LEVY) > epsilon).sum())
+        p = hits / n_samples
+        rows.append(FRow(n=step, estimate=p,
+                         stderr=math.sqrt(p * (1.0 - p) / n_samples),
+                         hits=hits))
     return rows
 
 
@@ -846,8 +819,8 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
     if n_samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
     cps = sorted(set(int(c) for c in checkpoints))
-    if cps[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
+    if not cps or cps[0] < 1:
+        raise ValueError("need checkpoints, each >= 1")
     d = s.digits[0]
     mu = gauss_measure(s)
     frac_hi = (1.0 + eps_e) * mu

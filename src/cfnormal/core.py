@@ -116,14 +116,33 @@ def euclid_digits(num: int, den: int) -> list[int]:
     return digits
 
 
-def expand(r: Rational, convention: Convention = Convention.LONG) -> CFExpansion:
-    """Continued fraction expansion of r under the given convention."""
-    digits = euclid_digits(r.num, r.den)
+def cf_digits(num: int, den: int, convention: Convention) -> list[int]:
+    """Digits of num/den (reduced or not) under the given convention."""
+    digits = euclid_digits(num, den)
     if convention is Convention.LONG:
         # the short form always ends in a digit >= 2, so this never hits 0
         digits[-1] -= 1
         digits.append(1)
-    return CFExpansion(tuple(digits), convention)
+    return digits
+
+
+def expand(r: Rational, convention: Convention = Convention.LONG) -> CFExpansion:
+    """Continued fraction expansion of r under the given convention."""
+    return CFExpansion(tuple(cf_digits(r.num, r.den, convention)), convention)
+
+
+def continuants(digits: Sequence[int]) -> tuple[int, int, int, int]:
+    """(p_{k-1}, q_{k-1}, p_k, q_k) of a digit string of length k, exactly.
+
+    p_k/q_k is the string's value, and the empty string gives the seeds
+    p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1.
+    """
+    p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
+    for a in digits:
+        a = int(a)
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return p_prev, q_prev, p_cur, q_cur
 
 
 def evaluate_digits(digits: Sequence[int]) -> tuple[int, int]:
@@ -136,10 +155,7 @@ def evaluate_digits(digits: Sequence[int]) -> tuple[int, int]:
         raise ValueError("cannot evaluate an empty digit string")
     if any(d < 1 for d in digits):
         raise ValueError("all digits must be >= 1")
-    num, den = 1, digits[-1]
-    for a in reversed(digits[:-1]):
-        num, den = den, a * den + num
-    return num, den
+    return continuants(digits)[2:]
 
 
 def evaluate(e: CFExpansion) -> Rational:
@@ -175,11 +191,7 @@ def concat_rationals(r: Rational, r2: Rational,
     (u p + v p') / (u q + v q').  Which expansion r uses changes the answer,
     so the convention matters; r2 enters only through its value.
     """
-    digits = expand(r, convention).digits
-    if len(digits) == 1:
-        p1, q1 = 0, 1
-    else:
-        p1, q1 = evaluate_digits(digits[:-1])
+    p1, q1, _, _ = continuants(expand(r, convention).digits)
     v, u = r2.num, r2.den
     return Rational(u * r.num + v * p1, u * r.den + v * q1)
 

@@ -56,60 +56,38 @@ _KIND_ALIASES: dict[str, SequenceKind] = {
 }
 
 
-def _numerators(kind: SequenceKind, den: int) -> Iterator[int]:
-    """Valid numerators for a fixed denominator, ascending."""
-    tables = get_tables(den)
-    isp = tables.is_prime
-    sf = tables.is_squarefree
-    if kind is SequenceKind.ALL_WITH_DUPLICATES:
-        yield from range(1, den)
-    elif kind is SequenceKind.ALL_LOWEST_TERMS:
-        for num in range(1, den):
-            if math.gcd(num, den) == 1:
-                yield num
-    elif kind is SequenceKind.SQUAREFREE_BOTH:
-        if sf[den]:
-            for num in range(1, den):
-                if sf[num] and math.gcd(num, den) == 1:
-                    yield num
-    elif kind is SequenceKind.TYPE1:
-        if isp[den]:
-            yield from range(1, den)
-    elif kind is SequenceKind.TYPE2:
-        for num in range(2, den):
-            if isp[num] and den % num != 0:
-                yield num
-    elif kind is SequenceKind.TYPE3:
-        if isp[den]:
-            for num in range(2, den):
-                if isp[num]:
-                    yield num
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-
-
 def _wrap(kind: SequenceKind, num: int, den: int) -> Member:
     if kind is SequenceKind.ALL_WITH_DUPLICATES:
         return (num, den)
     return Rational(num, den)
 
 
+#: a lazy member view reads members_block over about this many pairs at once
+VIEW_BLOCK_PAIRS = 1 << 16
+
+
+def _member_view(kind: SequenceKind, d_hi: float) -> Iterator[Member]:
+    """Members with den < d_hi in order, read one members_block block of
+    about VIEW_BLOCK_PAIRS candidate pairs at a time."""
+    d_lo = 2
+    while d_lo < d_hi:
+        top = min(d_hi, math.isqrt(d_lo * d_lo + 2 * VIEW_BLOCK_PAIRS))
+        num, den = members_block(kind, d_lo, top)
+        for pair in zip(num.tolist(), den.tolist()):
+            yield _wrap(kind, *pair)
+        d_lo = top
+
+
 def iter_members(kind: SequenceKind) -> Iterator[Member]:
     """Infinite ordered enumeration of the kind's members."""
-    den = 2
-    while True:
-        for num in _numerators(kind, den):
-            yield _wrap(kind, num, den)
-        den += 1
+    return _member_view(kind, math.inf)
 
 
 def enumerate_R(kind: SequenceKind, m: int) -> Iterator[Member]:
     """Members with denominator at most m, in order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    for den in range(2, m + 1):
-        for num in _numerators(kind, den):
-            yield _wrap(kind, num, den)
+    yield from _member_view(kind, m + 1)
 
 
 def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:

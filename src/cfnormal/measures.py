@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
+
+from .core import continuants
 
 LN2 = math.log(2.0)
 
@@ -88,20 +90,10 @@ def constants() -> Constants:
     return Constants(g=KHINCHIN_LEVY, G=GOLDEN, log2=LN2)
 
 
-def _final_convergents(s: Pattern) -> tuple[int, int, int, int]:
-    """(p_{k-1}, q_{k-1}, p_k, q_k) of the digit string."""
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = 0, 1
-    for a in s.digits:
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return p_prev, q_prev, p_cur, q_cur
-
-
 def cylinder_geometry(s: Union[Pattern, Sequence[int]]) -> CylinderGeometry:
     """Exact endpoints of C_s, ordered so that lower < upper."""
     s = Pattern.coerce(s)
-    pn1, qn1, pn, qn = _final_convergents(s)
+    pn1, qn1, pn, qn = continuants(s.digits)
     a = Fraction(pn, qn)
     b = Fraction(pn + pn1, qn + qn1)
     lower, upper = (a, b) if a < b else (b, a)
@@ -111,7 +103,7 @@ def cylinder_geometry(s: Union[Pattern, Sequence[int]]) -> CylinderGeometry:
 def lebesgue_measure(s: Union[Pattern, Sequence[int]]) -> Fraction:
     """lambda(C_s) = 1 / (q_k (q_k + q_{k-1})), exactly."""
     s = Pattern.coerce(s)
-    _, qn1, _, qn = _final_convergents(s)
+    _, qn1, _, qn = continuants(s.digits)
     return Fraction(1, qn * (qn + qn1))
 
 
@@ -124,7 +116,7 @@ def gauss_measure(s: Union[Pattern, Sequence[int]]) -> float:
     with a single log1p on the exact ratio, so deep cylinders stay accurate.
     """
     s = Pattern.coerce(s)
-    pn1, qn1, pn, qn = _final_convergents(s)
+    pn1, qn1, pn, qn = continuants(s.digits)
     top = (pn + qn) * (qn1 + qn)
     bot = qn * (pn1 + pn + qn1 + qn)
     # log1p of an exact Fraction delta keeps precision when top/bot is near 1

@@ -177,14 +177,7 @@ def coprime_count(x: int, m: int) -> int:
     return total
 
 
-def _linear_value_prime(value: int, tables: Optional[ArithTables]) -> bool:
-    if tables is not None and 0 <= value <= tables.limit:
-        return bool(tables.is_prime[value])
-    return is_prime(value)
-
-
-def pi_prime_linear(x: int, q: int, a: int,
-                    tables: Optional[ArithTables] = None) -> int:
+def pi_prime_linear(x: int, q: int, a: int) -> int:
     """#{1 <= l <= x : l*q + a prime}.  Requires gcd(q, a) = 1."""
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -194,13 +187,12 @@ def pi_prime_linear(x: int, q: int, a: int,
         raise ValueError(f"gcd({q}, {a}) != 1: the progression carries a fixed divisor")
     count = 0
     for ell in range(1, x + 1):
-        if _linear_value_prime(ell * q + a, tables):
+        if is_prime(ell * q + a):
             count += 1
     return count
 
 
-def pi_prime_joint(x: int, q: int, a: int, q2: int, a2: int,
-                   tables: Optional[ArithTables] = None) -> int:
+def pi_prime_joint(x: int, q: int, a: int, q2: int, a2: int) -> int:
     """#{1 <= l <= x : l*q + a and l*q2 + a2 both prime}.
 
     Requires gcd(q, a) = gcd(q2, a2) = 1 and a*q2 - q*a2 != 0, i.e. the two
@@ -216,7 +208,6 @@ def pi_prime_joint(x: int, q: int, a: int, q2: int, a2: int,
         raise ValueError("degenerate pair: a*q2 - q*a2 = 0")
     count = 0
     for ell in range(1, x + 1):
-        if _linear_value_prime(ell * q + a, tables) and \
-           _linear_value_prime(ell * q2 + a2, tables):
+        if is_prime(ell * q + a) and is_prime(ell * q2 + a2):
             count += 1
     return count

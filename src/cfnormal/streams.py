@@ -6,14 +6,16 @@ A_s(N) counts the positions 1 <= i <= N at which the pattern s begins, so an
 occurrence may extend up to k-1 digits past N and the counters read that far
 ahead.
 
-Two independent digit generators are provided: a scalar per-rational stream
-(DigitStream) and a vectorized block generator (digit_block) that runs the
-Euclidean algorithm across whole denominator ranges at once.  They must agree
-digit for digit; tests hold them to that.
+Two independent Euclid paths read the same members_block rows: a scalar
+per-rational stream (DigitStream), the oracle, and a vectorized block
+generator (digit_block) that runs the Euclidean algorithm across whole
+denominator ranges at once.  They must agree digit for digit; tests hold
+them to that.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -21,21 +23,16 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Convention, Rational, euclid_digits
+from .core import Convention, Rational, cf_digits
 from .enumeration import Member, SequenceKind, iter_members, members_block, rational_at
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, GOLDEN, Pattern, gauss_measure, pattern_grid
 
 
-@dataclass
-class StreamConfig:
-    """Tunables shared by the stream consumers."""
-
-    checkpoint_interval: int = 10 ** 4
-    max_patterns: int = 10 ** 4
-
-
-DEFAULT_CONFIG = StreamConfig()
+#: GrowthTracker audits its running log against exact continuants this often
+AUDIT_INTERVAL = 10 ** 4
+#: most patterns one normality report counts
+MAX_PATTERNS = 10 ** 4
 
 
 class DigitStream:
@@ -76,16 +73,9 @@ class DigitStream:
 
     def _refill(self) -> None:
         member = next(self._members)  # raises StopIteration on finite sources
-        if isinstance(member, tuple):
-            num, den = member
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-        else:
-            num, den = member.num, member.den
-        digs = euclid_digits(num, den)
-        if self.convention is Convention.LONG:
-            digs[-1] -= 1
-            digs.append(1)
+        # an aks-dup pair need not be reduced; its digits are the reduced value's
+        num, den = member if isinstance(member, tuple) else (member.num, member.den)
+        digs = cf_digits(num, den, self.convention)
         self.rational_index += 1
         self.sum_len += len(digs)
         if len(digs) > self.max_len:
@@ -299,18 +289,11 @@ class FrequencyTracker:
 
     def feed(self, digit: int, limit: Optional[int] = None) -> None:
         """Consume one digit; count pattern starts at positions <= limit."""
-        self.position += 1
-        sym = digit if digit <= self.max_digit else 0
-        self.state = self._goto[self.state][sym]
-        hits = self._out[self.state]
-        if hits:
-            pos = self.position
-            for idx, k in hits:
-                start = pos - k + 1
-                if start >= 1 and (limit is None or start <= limit):
-                    self.counts[idx] += 1
+        self.run((digit,), limit)
 
     def run(self, digits: Iterable[int], limit: Optional[int] = None) -> None:
+        """Consume the digits in order; count pattern starts at positions
+        <= limit."""
         goto = self._goto
         out = self._out
         state = self.state
@@ -341,18 +324,14 @@ def count_patterns(source: Union[Iterable[int], DigitStream],
     Reads n + max_len - 1 digits from the source and fails if a finite source
     runs out before that, since trailing occurrences could not be resolved.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     tracker = FrequencyTracker(patterns)
     need = n + tracker.max_len - 1
-    it = iter(source)
-    fed = 0
-    for d in it:
-        tracker.feed(int(d), limit=n)
-        fed += 1
-        if fed == need:
-            break
-    if fed < need:
-        raise ValueError(f"source ended after {fed} digits; need {need} "
-                         f"to resolve starts up to {n}")
+    tracker.run(map(int, itertools.islice(source, need)), limit=n)
+    if tracker.position < need:
+        raise ValueError(f"source ended after {tracker.position} digits; "
+                         f"need {need} to resolve starts up to {n}")
     return tracker.as_dict()
 
 
@@ -510,7 +489,7 @@ class GrowthTracker:
     comes from a pairwise tree (_continuant_products).
     """
 
-    def __init__(self, audit_interval: int = DEFAULT_CONFIG.checkpoint_interval,
+    def __init__(self, audit_interval: int = AUDIT_INTERVAL,
                  audit_tol: float = 1e-6):
         if audit_interval < 0:
             raise ValueError("audit_interval must be >= 0")
@@ -537,8 +516,7 @@ class GrowthTracker:
         self.n += 1
         if not self.audit_interval:
             return
-        w11, w12, w21, w22 = self._window  # times [[a, 1], [1, 0]]:
-        self._window = (a * w11 + w12, w11, a * w21 + w22, w21)
+        self._window = _matmul2(self._window, (a, 1, 1, 0))
         self._window_digits += 1
         if self._window_digits >= self.audit_interval:
             self._audit(self._window[0], self._window[2])
@@ -675,9 +653,7 @@ def _pattern_rows(digits: np.ndarray, patterns: Sequence[Pattern],
 
 def normality_report(kind: SequenceKind, convention: Convention, n: int,
                      max_digit: int = 5, max_len: int = 2,
-                     config: StreamConfig = DEFAULT_CONFIG,
-                     checkpoints: Sequence[int] = (),
-                     audit: bool = True) -> NormalityReport:
+                     checkpoints: Sequence[int] = ()) -> NormalityReport:
     """Empirical pattern frequencies and growth over the first n stream digits.
 
     Counts every pattern over digits 1..max_digit of length <= max_len against
@@ -686,14 +662,17 @@ def normality_report(kind: SequenceKind, convention: Convention, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     n_patterns = sum(max_digit ** j for j in range(1, max_len + 1))
-    if n_patterns > config.max_patterns:
+    if n_patterns > MAX_PATTERNS:
         raise ResourceLimitError(
-            f"{n_patterns} patterns exceed the configured bound {config.max_patterns}")
+            f"{n_patterns} patterns exceed the configured bound {MAX_PATTERNS}")
+    for c in checkpoints:
+        if not 1 <= c <= n:
+            raise ValueError(f"checkpoint {c} outside 1..{n}")
     patterns = pattern_grid(max_digit, max_len)
     digits = digit_block(kind, convention, n + max_len - 1)
     rows = _pattern_rows(digits, patterns, n)
 
-    tracker = GrowthTracker(audit_interval=config.checkpoint_interval if audit else 0)
+    tracker = GrowthTracker()
     tracker.update_many(digits[:n])
 
     report = NormalityReport(
@@ -708,8 +687,6 @@ def normality_report(kind: SequenceKind, convention: Convention, n: int,
         growth=GrowthSummary(logq=tracker.logq, n=tracker.n),
     )
     for c in checkpoints:
-        if not 1 <= c <= n:
-            raise ValueError(f"checkpoint {c} outside 1..{n}")
         report.checkpoints[c] = _pattern_rows(digits, patterns, c)
     return report
 

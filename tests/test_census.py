@@ -442,3 +442,50 @@ class TestEFDecay:
             ef_decay_estimates(n_samples=500)
         with pytest.raises(ValueError):
             ef_decay_estimates(checkpoints=(0, 10), n_samples=2000)
+        with pytest.raises(ValueError):
+            ef_decay_estimates(checkpoints=(), n_samples=2000)
+
+
+class TestPinnedOutputs:
+    """Exact outputs recorded from the earlier, separate implementations of
+    the log-growth loop, the Gamma window counter and the sampling block.
+    They pin bits, not statistics: a refactor must reproduce them with ==."""
+
+    def test_mc_growth_rate(self):
+        est = mc_growth_rate(50, 3000, seed=3)
+        assert (est.mean, est.stderr) == (1.1840401942191074,
+                                          0.0023827105194981738)
+
+    def test_ef_decay_report(self):
+        doc = ef_decay_estimates(checkpoints=(10, 50), n_samples=2000,
+                                 seed=4).to_json_dict()
+        assert (doc["params"]["theta_hi"], doc["params"]["theta_lo"]) == (
+            0.9044956699511251, -1.0621401940435613)
+        assert doc["rows_e"] == [
+            {"N": 10, "estimate": 0.18091266856628718,
+             "log_estimate": -1.7097408582629596,
+             "rel_stderr": 0.01842658746406167},
+            {"N": 50, "estimate": 0.0010886201391622835,
+             "log_estimate": -6.822844312078084,
+             "rel_stderr": 0.028278239721774696}]
+        assert doc["rows_f"] == [
+            {"N": 10, "estimate": 0.7365, "stderr": 0.009850577394244461,
+             "hits": 1473},
+            {"N": 50, "estimate": 0.4395, "stderr": 0.011098192420389907,
+             "hits": 879}]
+
+    def test_estimate_measure_across_a_block(self):
+        # 70000 samples take two blocks of rows
+        pred = lambda digits: (digits[:, :3] == 1).all(axis=1)
+        orbit = estimate_measure(pred, 5, 70000, seed=2)
+        chain = estimate_measure(pred, 50, 70000, seed=2, method="chain")
+        assert (orbit.hits, orbit.stderr) == (4113, 0.0008888575413771172)
+        assert (chain.hits, chain.stderr) == (4181, 0.0008957125589932255)
+
+    def test_gamma_census(self):
+        short = gamma_census(GammaParams(m=2000, delta=0.05, eta=0.2, s=(1,)),
+                             Convention.SHORT)
+        long = gamma_census(GammaParams(m=2000, delta=0.1, eta=0.2, s=(1, 2)),
+                            Convention.LONG)
+        assert (short.total, short.members) == (1216587, 1153827)
+        assert (long.total, long.members) == (1216587, 987227)

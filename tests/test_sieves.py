@@ -118,9 +118,3 @@ class TestPiPrime:
     def test_joint_rejects_proportional_forms(self):
         with pytest.raises(ValueError):
             pi_prime_joint(10, 2, 1, 4, 2)
-
-    def test_tables_fast_path_agrees(self):
-        t = get_tables(5000)
-        assert pi_prime_linear(100, 3, 2, tables=t) == pi_prime_linear(100, 3, 2)
-        assert pi_prime_joint(100, 2, 1, 4, 1, tables=t) == \
-            pi_prime_joint(100, 2, 1, 4, 1)

@@ -15,8 +15,8 @@ from cfnormal.enumeration import SequenceKind, enumerate_R, members_block
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import Pattern, gauss_measure
 from cfnormal.streams import (DigitStream, FrequencyTracker, GrowthTracker,
-                              StreamConfig, count_pattern_array,
-                              count_patterns, decode_varints, digit_block,
+                              count_pattern_array, count_patterns,
+                              decode_varints, digit_block,
                               digit_matrix, encode_varint, encode_varints,
                               flatten_digit_matrix, format_header,
                               hypothesis_ratios, normality_report)
@@ -199,6 +199,13 @@ class TestPatternCounting:
         assert counts[Pattern((1, 2))] == 2
         with pytest.raises(ValueError):
             count_patterns(iter([1, 2, 1]), [Pattern((1, 2))], 3)
+
+    def test_empty_range_refused_on_an_endless_source(self):
+        s = DigitStream(kind=SequenceKind.TYPE1)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                count_patterns(s, [Pattern((1,))], n)
+        assert s.position == 0
 
     def test_start_limit_respected(self):
         # occurrence starting past n is not counted even though it is read
@@ -422,10 +429,16 @@ class TestNormalityReport:
         with pytest.raises(ResourceLimitError):
             normality_report(SequenceKind.TYPE1, Convention.LONG, 1000,
                              max_digit=101, max_len=2)
-        with pytest.raises(ResourceLimitError):
-            normality_report(SequenceKind.TYPE1, Convention.LONG, 1000,
-                             max_digit=5, max_len=2,
-                             config=StreamConfig(max_patterns=10))
+
+    def test_checkpoints_checked_before_any_digit(self, monkeypatch):
+        def no_digits(*args):
+            raise AssertionError("digit_block called before the checks")
+
+        monkeypatch.setattr(streams, "digit_block", no_digits)
+        for bad in ((0,), (5, 2 * 10 ** 6 + 1)):
+            with pytest.raises(ValueError, match="checkpoint"):
+                normality_report(SequenceKind.TYPE1, Convention.LONG,
+                                 2 * 10 ** 6, checkpoints=bad)
 
 
 class TestHypothesisRatios:
