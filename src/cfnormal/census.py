@@ -19,7 +19,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -646,22 +646,24 @@ class GrowthEstimate:
 
 
 def _log_growth(n_samples: int, seed: np.random.SeedSequence,
-                steps: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+                steps: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """(step, ln q_step of each row) at each of the ascending steps, over
     n_samples Gauss-sampled points, by ln q_j = ln q_{j-1} + ln(a_j + r) with
-    r = q_{j-2}/q_{j-1}.  The array is updated in place after it is yielded."""
+    r = q_{j-2}/q_{j-1}."""
     rng = np.random.default_rng(seed)
     sampler = GaussDigitSampler(n_samples)
     logq = np.zeros(n_samples)
     ratio = np.zeros(n_samples)
     done = 0
+    out = []
     for target in steps:
         for _ in range(target - done):
             t = sampler.step(rng) + ratio
             logq += np.log(t)
             ratio = 1.0 / t
         done = target
-        yield target, logq
+        out.append((target, logq.copy()))
+    return out
 
 
 def mc_growth_rate(depth: int = 100, n_samples: int = 10 ** 4,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -62,32 +63,23 @@ def _wrap(kind: SequenceKind, num: int, den: int) -> Member:
     return Rational(num, den)
 
 
-#: a lazy member view reads members_block over about this many pairs at once
-VIEW_BLOCK_PAIRS = 1 << 16
-
-
-def _member_view(kind: SequenceKind, d_hi: float) -> Iterator[Member]:
-    """Members with den < d_hi in order, read one members_block block of
-    about VIEW_BLOCK_PAIRS candidate pairs at a time."""
-    d_lo = 2
-    while d_lo < d_hi:
-        top = min(d_hi, math.isqrt(d_lo * d_lo + 2 * VIEW_BLOCK_PAIRS))
-        num, den = members_block(kind, d_lo, top)
-        for pair in zip(num.tolist(), den.tolist()):
-            yield _wrap(kind, *pair)
-        d_lo = top
+def _rows(kind: SequenceKind, dens: Iterable[int]) -> Iterator[Member]:
+    """Members in order, read one members_block row per denominator."""
+    for den in dens:
+        for num in members_block(kind, den, den + 1)[0].tolist():
+            yield _wrap(kind, num, den)
 
 
 def iter_members(kind: SequenceKind) -> Iterator[Member]:
     """Infinite ordered enumeration of the kind's members."""
-    return _member_view(kind, math.inf)
+    return _rows(kind, itertools.count(2))
 
 
 def enumerate_R(kind: SequenceKind, m: int) -> Iterator[Member]:
     """Members with denominator at most m, in order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    yield from _member_view(kind, m + 1)
+    yield from _rows(kind, range(2, m + 1))
 
 
 def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:

@@ -31,6 +31,8 @@ from .measures import KHINCHIN_LEVY, GOLDEN, Pattern, gauss_measure, pattern_gri
 
 #: GrowthTracker audits its running log against exact continuants this often
 AUDIT_INTERVAL = 10 ** 4
+#: largest relative gap between the running log and the exact audit value
+AUDIT_TOL = 1e-6
 #: most patterns one normality report counts
 MAX_PATTERNS = 10 ** 4
 
@@ -480,8 +482,7 @@ class GrowthTracker:
     [[W11, W12], [W21, W22]] of the matrices [[a, 1], [1, 0]] of its digits:
     W11 = K(window digits), W21 = K(window digits minus the first), and
     q_end = W11 q_start + W21 q_{start-1}, so the float value must stay
-    within audit_tol of  log q_start + ln W11 + log1p((W21/W11) * ratio_start).
-    With audit_interval 0 no window product is kept at all.
+    within AUDIT_TOL of  log q_start + ln W11 + log1p((W21/W11) * ratio_start).
 
     update_many is the vectorised form of a loop of update calls and gives
     the same bits: the recurrence runs lane-parallel (_ratio_recurrence),
@@ -489,15 +490,13 @@ class GrowthTracker:
     comes from a pairwise tree (_continuant_products).
     """
 
-    def __init__(self, audit_interval: int = AUDIT_INTERVAL,
-                 audit_tol: float = 1e-6):
-        if audit_interval < 0:
-            raise ValueError("audit_interval must be >= 0")
+    def __init__(self, audit_interval: int = AUDIT_INTERVAL):
+        if audit_interval < 1:
+            raise ValueError("audit_interval must be >= 1")
         self.n = 0
         self.logq = 0.0
         self.ratio = 0.0  # q_{n-1} / q_n
         self.audit_interval = audit_interval
-        self.audit_tol = audit_tol
         self.max_audit_rel_err = 0.0
         self._reset_window()
 
@@ -514,8 +513,6 @@ class GrowthTracker:
         self.logq += math.log(t)
         self.ratio = 1.0 / t
         self.n += 1
-        if not self.audit_interval:
-            return
         self._window = _matmul2(self._window, (a, 1, 1, 0))
         self._window_digits += 1
         if self._window_digits >= self.audit_interval:
@@ -531,7 +528,7 @@ class GrowthTracker:
         lo = 0
         while lo < len(a):
             size = GROWTH_CHUNK
-            if 0 < self.audit_interval <= size:
+            if self.audit_interval <= size:
                 # end the chunk where an audit window ends
                 size -= (self._window_digits + size) % self.audit_interval
             self._update_chunk(a[lo:lo + size])
@@ -543,26 +540,25 @@ class GrowthTracker:
         logq[0] += self.logq
         np.cumsum(logq, out=logq)
         n0 = self.n
-        if self.audit_interval:
-            # the audits of this chunk fall after these many of its digits
-            ends = np.arange(self.audit_interval - self._window_digits,
-                             len(a) + 1, self.audit_interval)
-            lo = 0
-            if len(ends):
-                columns = _continuant_products(
-                    a, np.concatenate(([0], ends)), column=True)
-                for hi, (c11, c21) in zip(ends.tolist(), columns):
-                    # the window's first column is its state times (c11, c21)
-                    w11, w12, w21, w22 = self._window
-                    self.n = n0 + hi
-                    self.logq = float(logq[hi - 1])
-                    self.ratio = float(1.0 / t[hi - 1])
-                    self._audit(w11 * c11 + w12 * c21, w21 * c11 + w22 * c21)
-                lo = int(ends[-1])
-            if lo < len(a):
-                (product,) = _continuant_products(a, np.array([lo, len(a)]))
-                self._window = _matmul2(self._window, product)
-                self._window_digits += len(a) - lo
+        # the audits of this chunk fall after these many of its digits
+        ends = np.arange(self.audit_interval - self._window_digits,
+                         len(a) + 1, self.audit_interval)
+        lo = 0
+        if len(ends):
+            columns = _continuant_products(
+                a, np.concatenate(([0], ends)), column=True)
+            for hi, (c11, c21) in zip(ends.tolist(), columns):
+                # the window's first column is its state times (c11, c21)
+                w11, w12, w21, w22 = self._window
+                self.n = n0 + hi
+                self.logq = float(logq[hi - 1])
+                self.ratio = float(1.0 / t[hi - 1])
+                self._audit(w11 * c11 + w12 * c21, w21 * c11 + w22 * c21)
+            lo = int(ends[-1])
+        if lo < len(a):
+            (product,) = _continuant_products(a, np.array([lo, len(a)]))
+            self._window = _matmul2(self._window, product)
+            self._window_digits += len(a) - lo
         self.n = n0 + len(a)
         self.logq = float(logq[-1])
         self.ratio = float(1.0 / t[-1])
@@ -574,7 +570,7 @@ class GrowthTracker:
         rel = abs(self.logq - expected) / max(1.0, abs(self.logq))
         if rel > self.max_audit_rel_err:
             self.max_audit_rel_err = rel
-        if rel > self.audit_tol:
+        if rel > AUDIT_TOL:
             raise ArithmeticError(
                 f"growth recurrence drifted: rel err {rel:.3e} at n={self.n}")
         self._reset_window()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfnormal import enumeration
 from cfnormal.core import Rational
 from cfnormal.enumeration import (SequenceKind, count_R, enumerate_R,
                                   index_of, iter_members, members_at,
@@ -48,32 +49,42 @@ def test_first_members_oracles():
 
 
 def _brute_members(kind, m):
-    out = []
-    is_prime = lambda n: n > 1 and all(n % p for p in range(2, int(n ** 0.5) + 1))
-    squarefree = lambda n: all(n % (p * p) for p in range(2, int(n ** 0.5) + 1))
-    for den in range(2, m + 1):
-        for num in range(1, den):
-            if kind is SequenceKind.ALL_WITH_DUPLICATES:
-                out.append((num, den))
-                continue
-            if math.gcd(num, den) != 1:
-                continue
-            keep = {
-                SequenceKind.ALL_LOWEST_TERMS: True,
-                SequenceKind.SQUAREFREE_BOTH: squarefree(num) and squarefree(den),
-                SequenceKind.TYPE1: is_prime(den),
-                SequenceKind.TYPE2: is_prime(num),
-                SequenceKind.TYPE3: is_prime(num) and is_prime(den),
-            }[kind]
-            if keep:
-                out.append(Rational(num, den))
-    return out
+    primes = {n for n in range(2, m + 1)
+              if all(n % p for p in range(2, math.isqrt(n) + 1))}
+    squarefree = {n for n in range(1, m + 1)
+                  if all(n % (p * p) for p in range(2, math.isqrt(n) + 1))}
+    if kind is SequenceKind.ALL_WITH_DUPLICATES:
+        return [(num, den) for den in range(2, m + 1) for num in range(1, den)]
+    keep = {
+        SequenceKind.ALL_LOWEST_TERMS: lambda num, den: True,
+        SequenceKind.SQUAREFREE_BOTH:
+            lambda num, den: num in squarefree and den in squarefree,
+        SequenceKind.TYPE1: lambda num, den: den in primes,
+        SequenceKind.TYPE2: lambda num, den: num in primes,
+        SequenceKind.TYPE3: lambda num, den: num in primes and den in primes,
+    }[kind]
+    return [Rational(num, den) for den in range(2, m + 1) for num in range(1, den)
+            if math.gcd(num, den) == 1 and keep(num, den)]
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
-@pytest.mark.parametrize("m", [2, 5, 23, 100])
+@pytest.mark.parametrize("m", [2, 5, 23, 100, 400, 1000])
 def test_enumerate_matches_brute_force(kind, m):
     assert list(enumerate_R(kind, m)) == _brute_members(kind, m)
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_rows_run_past_denominator_65536(kind):
+    # one row per denominator, so the view cannot stall at any denominator
+    dens = range(65534, 65539)
+    rows = list(enumeration._rows(kind, dens))
+    assert len(rows) == count_R(kind, 65538) - count_R(kind, 65533)
+    got = [r if isinstance(r, tuple) else (r.num, r.den) for r in rows]
+    assert sorted({d for _, d in got}) == [
+        d for d in dens if count_R(kind, d) > count_R(kind, d - 1)]
+    assert got == sorted(got, key=lambda pair: (pair[1], pair[0]))
+    head = list(itertools.islice(iter_members(kind), 5))
+    assert head == _brute_members(kind, 12)[:5]
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
@@ -114,6 +125,7 @@ def test_ordering_is_by_denominator_then_numerator():
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
 def test_members_block_agrees_with_enumerate(kind):
+    # one block over many denominators equals their single-denominator rows
     num, den = members_block(kind, 2, 151)
     flat = [(int(a), int(b)) for a, b in zip(num, den)]
     want = [(r[0], r[1]) if isinstance(r, tuple) else (r.num, r.den)

@@ -281,20 +281,14 @@ class TestGrowthTracker:
         with pytest.raises(ArithmeticError):
             tracker.update(1)
 
-    def test_audit_off_is_linear(self, long_digits):
+    def test_audit_interval_leaves_the_bits(self, long_digits):
         digits = long_digits[SequenceKind.ALL_LOWEST_TERMS][:200_000].tolist()
-        trackers = {}
-        seconds = {}
-        for interval in (10 ** 4, 0):
-            start = time.perf_counter()
-            trackers[interval] = GrowthTracker(audit_interval=interval)
-            trackers[interval].update_many(digits)
-            seconds[interval] = time.perf_counter() - start
-        assert trackers[0].logq == trackers[10 ** 4].logq
-        assert trackers[0].n == trackers[10 ** 4].n == len(digits)
-        assert seconds[0] <= 2.0 * seconds[10 ** 4], (
-            f"audit off took {seconds[0]:.3f} s, audit on "
-            f"{seconds[10 ** 4]:.3f} s over {len(digits)} digits")
+        states = set()
+        for interval in (10 ** 4, 999, len(digits) + 1):
+            tracker = GrowthTracker(audit_interval=interval)
+            tracker.update_many(digits)
+            states.add((tracker.logq, tracker.ratio, tracker.n))
+        assert len(states) == 1
 
     def test_rejects_bad_digits(self):
         tracker = GrowthTracker()
@@ -302,8 +296,9 @@ class TestGrowthTracker:
             tracker.update(0)
         with pytest.raises(ValueError):
             tracker.rate
-        with pytest.raises(ValueError):
-            GrowthTracker(audit_interval=-1)
+        for interval in (0, -1):
+            with pytest.raises(ValueError, match="audit_interval must be >= 1"):
+                GrowthTracker(audit_interval=interval)
 
     def test_update_many_rejects_bad_digits_before_any_update(self):
         tracker = GrowthTracker(audit_interval=10)
