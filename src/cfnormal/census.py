@@ -33,6 +33,10 @@ CENSUS_ROW_LIMIT = 2 * 10 ** 8
 ORBIT_DEPTH_CAP = 40
 #: estimate_measure samples this many rows at a time
 SAMPLE_BLOCK = 1 << 16
+#: kinds whose members are closed under n/d -> (d-n)/d
+MIRROR_KINDS = frozenset({SequenceKind.ALL_LOWEST_TERMS,
+                          SequenceKind.ALL_WITH_DUPLICATES,
+                          SequenceKind.TYPE1})
 
 
 def resolve_threads(value: Optional[int] = None) -> int:
@@ -123,7 +127,8 @@ def is_eps_s_normal(r: Rational, p: NormalityParams) -> NormalityCheck:
 
 def _block_occurrences(mat: np.ndarray, lengths: np.ndarray,
                        s_digits: tuple[int, ...]) -> np.ndarray:
-    """Rowwise count of s inside the first lengths[i] digits of row i."""
+    """Rowwise count of s inside the first lengths[i] digits of row i; the
+    window scan behind _gamma_block, which still reads a digit matrix."""
     k = len(s_digits)
     width = mat.shape[1]
     counts = np.zeros(mat.shape[0], dtype=np.int64)
@@ -135,21 +140,113 @@ def _block_occurrences(mat: np.ndarray, lengths: np.ndarray,
     return counts
 
 
-def _classify_block(num: np.ndarray, den: np.ndarray,
-                    p: NormalityParams) -> tuple[int, int]:
-    """(rows, abnormal rows) for the given member pairs."""
-    if len(num) == 0:
-        return 0, 0
-    g = np.gcd(num, den)
-    q = den // g
-    mat, lengths = digit_matrix(num, den, p.convention)
-    a = _block_occurrences(mat, lengths, p.s.digits)
-    mu = gauss_measure(p.s)
-    logq = np.log(q.astype(np.float64))
-    freq_dev = np.abs(a / lengths - mu)
+def _window_hits(window: Sequence, s_digits: tuple[int, ...]):
+    """Rowwise window == s, for a window given as k digit columns (arrays
+    or scalars), oldest first."""
+    hit = window[-1] == s_digits[-1]
+    for col, d in zip(window[:-1], s_digits[:-1]):
+        hit = hit & (col == d)
+    return hit
+
+
+def _euclid_counts(num: np.ndarray, den: np.ndarray,
+                   s_digits: tuple[int, ...], convention: Convention
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, counts of s, first k digits, gcd) of each row num/den.
+
+    One lockstep Euclid over the rows still running, as in digit_matrix, but
+    with no digit matrix: each live row carries its count of s and a shift
+    register of its last k-1 digits, and a window is counted when its last
+    digit arrives.  A row's final quotient a is one digit under SHORT and the
+    two digits (a-1, 1) under LONG.  Unreduced pairs give the digits of their
+    lowest terms, and the last divisor of each row is its gcd.  first[i] is
+    zero past lengths[i].
+    """
+    k = len(s_digits)
+    rows = len(num)
+    long_tail = convention is Convention.LONG
+    lengths = np.empty(rows, dtype=np.int64)
+    counts = np.empty(rows, dtype=np.int64)
+    gcd = np.empty(rows, dtype=np.int64)
+    first = np.zeros((rows, k), dtype=np.int64, order="F")
+    live = np.arange(rows)
+    # int32 state halves what each division and gather moves.  A count fits
+    # int8: by Lame's bound a row below 2^63 has at most 93 digits.
+    state = np.int32 if rows and int(den.max()) < 2 ** 31 else np.int64
+    q, p = den.astype(state), num.astype(state)
+    count = np.zeros(rows, dtype=np.int8)
+    reg = [np.zeros(rows, dtype=state) for _ in range(k - 1)]
+    col = 0
+    while len(live):
+        a, r = np.divmod(q, p)
+        end = r == 0
+        stop = np.flatnonzero(end)
+        if long_tail:
+            a[stop] -= 1
+        if col < k:
+            first[live, col] = a
+        if col >= k - 1:
+            count += _window_hits(reg + [a], s_digits)
+        if len(stop):
+            done = live.take(stop)
+            tail = count.take(stop)
+            if long_tail:
+                if col + 1 < k:
+                    first[done, col + 1] = 1
+                if col >= k - 2:
+                    tail += _window_hits([x.take(stop) for x in reg[1:]]
+                                         + [a.take(stop), 1][-k:], s_digits)
+            lengths[done] = col + 1 + long_tail
+            counts[done] = tail
+            gcd[done] = p.take(stop)
+        if k > 1:
+            reg = reg[1:] + [a]
+        if len(stop):
+            going = np.flatnonzero(~end)
+            live = live.take(going)
+            q, p = p.take(going), r.take(going)
+            count = count.take(going)
+            reg = [x.take(going) for x in reg]
+        else:
+            q, p = p, r
+        col += 1
+    return lengths, counts, first, gcd
+
+
+def _abnormal(counts: np.ndarray, lengths: np.ndarray, logq: np.ndarray,
+              p: NormalityParams) -> np.ndarray:
+    freq_dev = np.abs(counts / lengths - gauss_measure(p.s))
     growth_dev = np.abs(logq / lengths - KHINCHIN_LEVY)
-    normal = (freq_dev < p.epsilon) & (growth_dev < p.epsilon)
-    return len(num), int(len(num) - normal.sum())
+    return ~((freq_dev < p.epsilon) & (growth_dev < p.epsilon))
+
+
+def _classify_block(num: np.ndarray, den: np.ndarray, p: NormalityParams,
+                    mirror: bool = False) -> tuple[int, int]:
+    """(rows, abnormal rows) for the given member pairs.
+
+    With mirror set, the pairs must be closed under n/d -> (d-n)/d, and
+    Euclid runs only on the rows with 2n <= d.  Each row O with 2n < d also
+    classifies its mirror M = (1, O[0]-1) ++ O[1:] (Knuth, TAOCP vol. 2,
+    4.5.3): the same q, length L+1, and a count of s that differs only in
+    the windows at M's first two positions and O's first.
+    """
+    rows = len(num)
+    if mirror:
+        half = np.flatnonzero(2 * num <= den)
+        num, den = num[half], den[half]
+    s = p.s.digits
+    lengths, counts, first, gcd = _euclid_counts(num, den, s, p.convention)
+    logq = np.log((den // gcd).astype(np.float64))
+    bad = int(_abnormal(counts, lengths, logq, p).sum())
+    if mirror:
+        f = [first[:, j] for j in range(len(s))]
+        head = f[0] - 1
+        m_counts = (counts - _window_hits(f, s)
+                    + _window_hits(([1, head] + f[1:])[:len(s)], s)
+                    + _window_hits([head] + f[1:], s))
+        m_bad = _abnormal(m_counts, lengths + 1, logq, p)
+        bad += int((m_bad & (2 * num < den)).sum())
+    return rows, bad
 
 
 def _den_chunks(d_lo: int, d_hi: int, pair_budget: int = 2_000_000):
@@ -168,7 +265,7 @@ def _census_chunk(args) -> tuple[int, int]:
     p = NormalityParams(eps, Pattern(tuple(s_digits)),
                         Convention(conv_value))
     num, den = members_block(kind, lo, hi)
-    return _classify_block(num, den, p)
+    return _classify_block(num, den, p, mirror=kind in MIRROR_KINDS)
 
 
 @dataclass
@@ -227,7 +324,7 @@ def run_census(kind: SequenceKind, m: int, p: NormalityParams,
                threads: int = 1) -> CensusReport:
     """Classify every member with denominator up to m (or within den_range).
 
-    Work proceeds over denominator chunks sized to keep the digit matrices
+    Work proceeds over denominator chunks sized to keep the member arrays
     modest; with threads > 1 the chunks fan out over processes and the
     partial counts merge additively.
     """
@@ -353,6 +450,11 @@ def gamma_census(gp: GammaParams,
     """Count the exceptional rationals among all lowest-terms den <= m."""
     if gp.n < 1:
         raise ValueError("n_delta is 0 for these parameters")
+    expected = count_R(SequenceKind.ALL_LOWEST_TERMS, gp.m)
+    if expected > CENSUS_ROW_LIMIT:
+        raise ResourceLimitError(
+            f"gamma census over {expected} rationals exceeds the row limit "
+            f"{CENSUS_ROW_LIMIT}")
     total = members = 0
     for lo, hi in _den_chunks(2, gp.m, pair_budget=4_000_000):
         num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, lo, hi)
@@ -669,6 +771,10 @@ def _log_growth(n_samples: int, seed: np.random.SeedSequence,
 def mc_growth_rate(depth: int = 100, n_samples: int = 10 ** 4,
                    seed: int = 0) -> GrowthEstimate:
     """Mean of (ln q_depth)/depth over Gauss-sampled points."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
     ((_, logq),) = _log_growth(n_samples, np.random.SeedSequence(seed), [depth])
     vals = logq / depth
     return GrowthEstimate(mean=float(vals.mean()),

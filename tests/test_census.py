@@ -1,19 +1,23 @@
 """Normality classification, exceptional families, and Gauss sampling."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from cfnormal.census import (CensusReport, GammaParams, GaussDigitSampler,
-                             NormalityParams, _gamma_block, continuant_den,
-                             digit_length, ef_decay_estimates,
+from cfnormal import census
+from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
+                             GaussDigitSampler, NormalityParams,
+                             _block_occurrences, _classify_block,
+                             _den_chunks, _euclid_counts, _gamma_block,
+                             continuant_den, digit_length, ef_decay_estimates,
                              estimate_measure, gamma_census,
                              gamma_prime_contains, gamma_prime_q_bounds,
                              gauss_orbit_digits, in_E_set, in_F_set, in_gamma,
                              is_eps_s_normal, mc_growth_rate, merge_estimates,
                              n_delta, resolve_threads, run_census)
-from cfnormal.core import Convention, Rational, expand
+from cfnormal.core import Convention, Rational, cf_digits, expand
 from cfnormal.enumeration import SequenceKind, count_R, enumerate_R, members_block
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import GOLDEN, KHINCHIN_LEVY, Pattern, cylinder_geometry, gauss_measure
@@ -126,6 +130,136 @@ class TestRunCensus:
             resolve_threads(0)
 
 
+KERNEL_PATTERNS = [(1,), (2,), (1, 1), (1, 2), (2, 1, 1), (3,)]
+
+
+def _oracle_block(num, den, p):
+    """(rows, abnormal rows) from the digit matrix, a window scan and gcd."""
+    mat, lengths = digit_matrix(num, den, p.convention)
+    counts = _block_occurrences(mat, lengths, p.s.digits)
+    logq = np.log((den // np.gcd(num, den)).astype(np.float64))
+    normal = ((np.abs(counts / lengths - gauss_measure(p.s)) < p.epsilon)
+              & (np.abs(logq / lengths - KHINCHIN_LEVY) < p.epsilon))
+    return len(num), int(len(num) - normal.sum())
+
+
+class TestCensusKernel:
+    """The fused Euclid-and-count kernel against the digit matrix."""
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_rows_match_digit_matrix(self, kind, conv):
+        num, den = members_block(kind, 2, 601)
+        mat, lengths = digit_matrix(num, den, conv)
+        for s in KERNEL_PATTERNS:
+            got_len, got_count, got_first, got_gcd = _euclid_counts(
+                num, den, s, conv)
+            assert np.array_equal(got_len, lengths)
+            assert np.array_equal(got_count,
+                                  _block_occurrences(mat, lengths, s))
+            assert np.array_equal(got_first, mat[:, :len(s)])
+            assert np.array_equal(got_gcd, np.gcd(num, den))
+
+    def test_short_rows_pad_their_first_digits(self):
+        # under LONG, 1/2 is (1, 1) and 1/3 is (2, 1), both shorter than s;
+        # under SHORT, 2/4 is (2) and its gcd 2
+        _, _, first, _ = _euclid_counts(np.array([1, 1]), np.array([2, 3]),
+                                        (1, 1, 1), Convention.LONG)
+        assert first.tolist() == [[1, 1, 0], [2, 1, 0]]
+        lengths, _, first, gcd = _euclid_counts(
+            np.array([2]), np.array([4]), (2, 1), Convention.SHORT)
+        assert (lengths.tolist(), first.tolist(), gcd.tolist()) == (
+            [1], [[2, 0]], [2])
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_classify_block_matches_oracle(self, kind):
+        num, den = members_block(kind, 2, 601)
+        for conv in Convention:
+            for s in KERNEL_PATTERNS:
+                for eps in (0.1, 0.25):
+                    p = NormalityParams(eps, Pattern(s), conv)
+                    assert _classify_block(
+                        num, den, p, mirror=kind in MIRROR_KINDS) \
+                        == _oracle_block(num, den, p)
+
+    def test_classify_block_needs_no_matrix_and_no_gcd(self, monkeypatch):
+        blocks = [members_block(kind, 2, 101)
+                  for kind in (ALL, SequenceKind.ALL_WITH_DUPLICATES)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the census kernel called a refused helper")
+        monkeypatch.setattr(census, "digit_matrix", refuse)
+        monkeypatch.setattr(census, "_block_occurrences", refuse)
+        monkeypatch.setattr(census.np, "gcd", refuse)
+        p = NormalityParams(0.25, Pattern((1,)))
+        for num, den in blocks:
+            assert _classify_block(num, den, p, mirror=True)[0] == len(num)
+
+    @pytest.mark.parametrize("kind,conv,s", [
+        (SequenceKind.ALL_LOWEST_TERMS, Convention.LONG, (1,)),
+        (SequenceKind.ALL_WITH_DUPLICATES, Convention.SHORT, (1, 2)),
+        (SequenceKind.SQUAREFREE_BOTH, Convention.LONG, (2, 1, 1)),
+        (SequenceKind.TYPE1, Convention.SHORT, (2,)),
+        (SequenceKind.TYPE2, Convention.LONG, (1, 1)),
+        (SequenceKind.TYPE3, Convention.SHORT, (3,)),
+    ])
+    def test_run_census_matches_oracle(self, kind, conv, s):
+        # m = 2100 spans two denominator chunks; the oracle walks blocks of
+        # 100 denominators to keep its digit matrices small
+        m = 2100
+        assert len(list(_den_chunks(2, m))) == 2
+        p = NormalityParams(0.25, Pattern(s), conv)
+        rows = bad = 0
+        for lo in range(2, m + 1, 100):
+            num, den = members_block(kind, lo, min(lo + 100, m + 1))
+            if len(num):
+                r, b = _oracle_block(num, den, p)
+                rows, bad = rows + r, bad + b
+        for threads in (1, 2):
+            report = run_census(kind, m, p, threads=threads)
+            assert (report.total, report.abnormal) == (rows, bad)
+
+
+class TestMirror:
+    """(d-n)/d has the digits (1, a1-1, a2, ...) when n/d has (a1, a2, ...)
+    and 2n < d (Knuth, TAOCP vol. 2, 4.5.3)."""
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_random_reduced_pairs(self, conv):
+        rng = np.random.default_rng(20151)
+        checked = 0
+        while checked < 10_000:
+            d = int(rng.integers(3, 10 ** 6 + 1))
+            n = int(rng.integers(1, (d - 1) // 2 + 1))
+            if 2 * n >= d or math.gcd(n, d) != 1:
+                continue
+            o = cf_digits(n, d, conv)
+            assert cf_digits(d - n, d, conv) == [1, o[0] - 1] + o[1:]
+            checked += 1
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_edges(self, conv):
+        # 1/3 has a single SHORT digit
+        o = cf_digits(1, 3, conv)
+        assert len(o) == (1 if conv is Convention.SHORT else 2)
+        assert cf_digits(2, 3, conv) == [1, o[0] - 1] + o[1:]
+        # 1/2, and aks-dup's 2/4, are their own mirrors
+        assert cf_digits(1, 2, conv) == cf_digits(2, 4, conv) \
+            == ([2] if conv is Convention.SHORT else [1, 1])
+        for num, den in ((1, 2), (2, 4), (3, 6)):
+            lengths, _, _, gcd = _euclid_counts(
+                np.array([num]), np.array([den]), (1,), conv)
+            assert (lengths[0], den // gcd[0]) == (len(cf_digits(1, 2, conv)), 2)
+
+    def test_self_mirrored_rows_count_once(self):
+        dup = SequenceKind.ALL_WITH_DUPLICATES
+        num, den = members_block(dup, 2, 9)
+        assert int((2 * num == den).sum()) == 4     # 1/2, 2/4, 3/6, 4/8
+        p = NormalityParams(0.25, Pattern((1,)))
+        assert _classify_block(num, den, p, mirror=True) \
+            == _oracle_block(num, den, p)
+
+
 class TestNDelta:
     def test_oracles(self):
         assert n_delta(1000, 0.1) == 4
@@ -172,6 +306,17 @@ class TestGamma:
                   for a, b in zip(num, den)]
         assert flags.tolist() == scalar
         assert (len(num), int(flags.sum())) == (27397, 24975)
+
+    def test_census_refused_above_the_row_limit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("members_block called before the guard")
+        monkeypatch.setattr(census, "members_block", refuse)
+        gp = GammaParams(35000, 0.1, 0.1, (1,))
+        assert count_R(ALL, gp.m) == 372365937
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            gamma_census(gp)
+        assert time.perf_counter() - start < 1.0
 
     def test_census_ratio_decreases_in_m(self):
         small = gamma_census(self.GP)
@@ -408,6 +553,15 @@ class TestEstimateMeasure:
         assert merged.estimate == merged.hits / 12000
         with pytest.raises(ValueError):
             merge_estimates([])
+
+
+def test_mc_growth_rate_domain():
+    for depth in (0, -5):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            mc_growth_rate(depth, 1000)
+    for n_samples in (1, 0):
+        with pytest.raises(ValueError):
+            mc_growth_rate(10, n_samples)
 
 
 def test_mc_growth_rate(growth_mc):

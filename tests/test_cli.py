@@ -260,6 +260,30 @@ class TestCensus:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+    def test_peak_memory_of_the_benchmark_census(self):
+        # the digit-matrix census reached about 306 MB here; the fused
+        # kernel holds one chunk of member pairs and no matrix.  A child's
+        # ru_maxrss starts from its parent's resident size at the fork, so a
+        # small interpreter runs the census and reports the peak.
+        launcher = ("import resource, subprocess, sys\n"
+                    "run = subprocess.run(sys.argv[1:], capture_output=True)\n"
+                    "peak = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+                    "print(run.returncode, peak.ru_maxrss)\n"
+                    "sys.stdout.write(run.stdout.decode())\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m",
+             "cfnormal.cli", "census", "--kind", "all", "-m", "4096",
+             "--eps", "0.25", "--s", "1", "--threads", "1"],
+            capture_output=True, text=True, check=True)
+        status, out = proc.stdout.split("\n", 1)
+        code, peak_kib = map(int, status.split())
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["total"], doc["abnormal"]) == (5100019, 2894863)
+        peak_mb = peak_kib / 1024   # ru_maxrss is in KiB on Linux
+        assert peak_mb <= 200, f"census peak RSS {peak_mb:.0f} MB > 200 MB"
+
+
 class TestCounters:
     def test_count_is_bare_json_integer(self, capsys):
         out = run_ok(capsys, ["count", "--kind", "type3", "-m", "7"]).out
