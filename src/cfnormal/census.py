@@ -160,22 +160,25 @@ def _euclid_counts(num: np.ndarray, den: np.ndarray,
     digit arrives.  A row's final quotient a is one digit under SHORT and the
     two digits (a-1, 1) under LONG.  Unreduced pairs give the digits of their
     lowest terms, and the last divisor of each row is its gcd.  first[i] is
-    zero past lengths[i].
+    zero past lengths[i].  The Euclid state is int32, so every denominator
+    must lie below 2^31; the census row limit keeps them far below.
     """
     k = len(s_digits)
     rows = len(num)
+    if rows and int(den.max()) >= 2 ** 31:
+        raise OverflowError("census kernel needs denominators below 2^31")
     long_tail = convention is Convention.LONG
     lengths = np.empty(rows, dtype=np.int64)
     counts = np.empty(rows, dtype=np.int64)
     gcd = np.empty(rows, dtype=np.int64)
     first = np.zeros((rows, k), dtype=np.int64, order="F")
     live = np.arange(rows)
-    # int32 state halves what each division and gather moves.  A count fits
-    # int8: by Lame's bound a row below 2^63 has at most 93 digits.
-    state = np.int32 if rows and int(den.max()) < 2 ** 31 else np.int64
-    q, p = den.astype(state), num.astype(state)
+    # int32 state moves half the bytes of int64 through each division and
+    # gather.  A count fits int8: by Lame's bound a row below 2^31 has at
+    # most 45 digits.
+    q, p = den.astype(np.int32), num.astype(np.int32)
     count = np.zeros(rows, dtype=np.int8)
-    reg = [np.zeros(rows, dtype=state) for _ in range(k - 1)]
+    reg = [np.zeros(rows, dtype=np.int32) for _ in range(k - 1)]
     col = 0
     while len(live):
         a, r = np.divmod(q, p)

@@ -171,6 +171,24 @@ class TestCensusKernel:
         assert (lengths.tolist(), first.tolist(), gcd.tolist()) == (
             [1], [[2, 0]], [2])
 
+    def test_state_limit_is_two_to_the_31(self):
+        # 1134903170/1836311903 is F45/F46, the longest expansion below
+        # 2^31; 2^31 - 1 is prime
+        top = 2 ** 31 - 1
+        num = np.array([1134903170, 1, top - 1, 12345])
+        den = np.array([1836311903, top, top, top])
+        for conv in Convention:
+            lengths, counts, first, gcd = _euclid_counts(num, den, (1,), conv)
+            digits = [cf_digits(int(n), int(d), conv)
+                      for n, d in zip(num, den)]
+            assert lengths.tolist() == [len(o) for o in digits]
+            assert counts.tolist() == [o.count(1) for o in digits]
+            assert first[:, 0].tolist() == [o[0] for o in digits]
+            assert gcd.tolist() == [1, 1, 1, 1]
+        with pytest.raises(OverflowError):
+            _euclid_counts(np.array([1]), np.array([2 ** 31]), (1,),
+                           Convention.LONG)
+
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_classify_block_matches_oracle(self, kind):
         num, den = members_block(kind, 2, 601)
