@@ -30,9 +30,11 @@ from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
 from .streams import digit_matrix
 
 CENSUS_ROW_LIMIT = 2 * 10 ** 8
-ORBIT_DEPTH_CAP = 40
 #: estimate_measure samples this many rows at a time
 SAMPLE_BLOCK = 1 << 16
+#: rows and depth of each Newton pilot run in _tune_theta
+PILOT_ROWS = 1500
+PILOT_DEPTH = 1200
 #: kinds whose members are closed under n/d -> (d-n)/d
 MIRROR_KINDS = frozenset({SequenceKind.ALL_LOWEST_TERMS,
                           SequenceKind.ALL_WITH_DUPLICATES,
@@ -572,44 +574,49 @@ class GaussDigitSampler:
         if n < 1:
             raise ValueError("need at least one sample row")
         self.n = n
-        self.r = np.zeros(n)
-        self.rho = np.ones(n)
+        self._set_state(np.zeros(n), np.ones(n))
 
-    def _scale(self) -> np.ndarray:
-        # ln((1+r)/(1+rho)), written to stay accurate when r ~ rho
-        return np.log1p((self.r - self.rho) / (1.0 + self.rho))
+    def _set_state(self, r: np.ndarray, rho: np.ndarray) -> None:
+        """Take the new (r, rho) and the per-row terms the CDF and its
+        inverse share: r - rho, the scale k = ln((1+r)/(1+rho)) (written to
+        stay accurate when r ~ rho), and the rows where k is 0."""
+        self.r, self.rho = r, rho
+        self.diff = r - rho
+        self.k = np.log1p(self.diff / (1.0 + rho))
+        self.deg = self.k == 0.0
+        self.any_deg = bool(self.deg.any())
 
     def _cdf(self, t) -> np.ndarray:
-        diff = self.r - self.rho
-        k = self._scale()
-        num = np.log1p(diff * t / (1.0 + self.rho * t))
+        num = np.log1p(self.diff * t / (1.0 + self.rho * t))
         with np.errstate(invalid="ignore"):
-            c = num / k
-        deg = k == 0.0
-        if deg.any():
-            c = np.where(deg, t * (1.0 + self.rho) / (1.0 + self.rho * t), c)
+            c = num / self.k
+        if self.any_deg:
+            c = np.where(self.deg,
+                         t * (1.0 + self.rho) / (1.0 + self.rho * t), c)
         return c
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
-        diff = self.r - self.rho
-        k = self._scale()
-        em = np.expm1(u * k)
+        em = np.expm1(u * self.k)
         with np.errstate(invalid="ignore", divide="ignore"):
-            t = em / (diff - self.rho * em)
-        deg = k == 0.0
-        if deg.any():
-            t = np.where(deg, u / (1.0 + self.rho - u * self.rho), t)
+            t = em / (self.diff - self.rho * em)
+        if self.any_deg:
+            t = np.where(self.deg, u / (1.0 + self.rho - u * self.rho), t)
         return t
 
     def push(self, a: np.ndarray) -> None:
-        self.r = 1.0 / (a + self.r)
-        self.rho = 1.0 / (a + self.rho)
+        self._set_state(1.0 / (a + self.r), 1.0 / (a + self.rho))
+
+    def _digit_interval(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(CDF at 1/(d+1), P(next digit = d | state)): digit d is the tail
+        interval (1/(d+1), 1/d]."""
+        if d < 1:
+            raise ValueError(f"digits are >= 1, got {d}")
+        c_lo = self._cdf(1.0 / (d + 1.0))
+        return c_lo, self._cdf(1.0 / d) - c_lo
 
     def prob_digit(self, d: int) -> np.ndarray:
         """P(next digit = d | state), an interval of the tail distribution."""
-        hi = self._cdf(1.0 / d)
-        lo = self._cdf(1.0 / (d + 1.0))
-        return hi - lo
+        return self._digit_interval(d)[1]
 
     def step(self, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(self.n)
@@ -628,14 +635,13 @@ class GaussDigitSampler:
         weight * indicator over many rows stays unbiased for the untilted
         chain.
         """
-        p = self.prob_digit(d)
+        c_lo, p = self._digit_interval(d)
         et = math.exp(theta)
         q = p * et / (1.0 + p * (et - 1.0))
         u = rng.random(self.n)
         pick = u < q
         # reuse the same uniform for the complement branch
         u2 = (u - q) / (1.0 - q)
-        c_lo = self._cdf(1.0 / (d + 1.0))
         u3 = u2 * (1.0 - p)
         u3 = np.where(u3 < c_lo, u3, u3 + p)
         u3 = np.where(pick, 0.5, u3)  # dummy for the rows that emit d
@@ -655,26 +661,6 @@ class GaussDigitSampler:
         for j in range(depth):
             out[:, j] = self.step(rng)
         return out
-
-
-def gauss_orbit_digits(u: np.ndarray, depth: int) -> np.ndarray:
-    """Digit matrix by forward float iteration of the shift map.
-
-    Cheap and adequate for shallow prefixes; each iteration loses a little
-    precision, which is why callers cap it at ORBIT_DEPTH_CAP.
-    """
-    if depth > ORBIT_DEPTH_CAP:
-        raise ValueError(f"orbit extraction is unreliable past "
-                         f"{ORBIT_DEPTH_CAP} digits; use the exact sampler")
-    x = np.asarray(2.0 ** np.asarray(u) - 1.0, dtype=np.float64)
-    out = np.empty((len(x), depth), dtype=np.int64)
-    for j in range(depth):
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / np.maximum(x, 1e-300)
-        a = np.clip(np.floor(inv), 1.0, 2.0 ** 62)
-        x = np.clip(inv - a, 0.0, np.nextafter(1.0, 0.0))
-        out[:, j] = a.astype(np.int64)
-    return out
 
 
 @dataclass
@@ -702,35 +688,25 @@ def merge_estimates(parts: Sequence[MeasureEstimate]) -> MeasureEstimate:
 
 
 def estimate_measure(predicate: Callable[[np.ndarray], np.ndarray],
-                     depth: int, n_samples: int, seed: int = 0,
-                     method: str = "auto") -> MeasureEstimate:
+                     depth: int, n_samples: int,
+                     seed: int = 0) -> MeasureEstimate:
     """Gauss-measure of a digit-prefix event by direct sampling.
 
     The predicate receives a (rows x depth) digit matrix and must return a
-    boolean row mask.  method "orbit" extracts digits by float iteration and
-    is refused past ORBIT_DEPTH_CAP digits; "chain" uses the exact sampler at
-    any depth; "auto" picks whichever applies.  A fixed seed gives identical
+    boolean row mask.  The digits come from the exact chain sampler
+    GaussDigitSampler, faithful at any depth.  A fixed seed gives identical
     results; rows are drawn SAMPLE_BLOCK at a time.
     """
     if n_samples < 10 ** 3:
         raise ValueError("need at least 1000 samples")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if method == "auto":
-        method = "orbit" if depth <= ORBIT_DEPTH_CAP else "chain"
-    if method not in ("orbit", "chain"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "orbit" and depth > ORBIT_DEPTH_CAP:
-        raise ValueError(f"orbit method capped at depth {ORBIT_DEPTH_CAP}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     hits = 0
     done = 0
     while done < n_samples:
         rows = min(SAMPLE_BLOCK, n_samples - done)
-        if method == "orbit":
-            digits = gauss_orbit_digits(rng.random(rows), depth)
-        else:
-            digits = GaussDigitSampler(rows).sample_matrix(depth, rng)
+        digits = GaussDigitSampler(rows).sample_matrix(depth, rng)
         mask = np.asarray(predicate(digits), dtype=bool)
         if mask.shape != (rows,):
             raise ValueError("predicate must return one boolean per row")
@@ -758,14 +734,12 @@ def _log_growth(n_samples: int, seed: np.random.SeedSequence,
     rng = np.random.default_rng(seed)
     sampler = GaussDigitSampler(n_samples)
     logq = np.zeros(n_samples)
-    ratio = np.zeros(n_samples)
     done = 0
     out = []
     for target in steps:
         for _ in range(target - done):
-            t = sampler.step(rng) + ratio
-            logq += np.log(t)
-            ratio = 1.0 / t
+            r = sampler.r  # the sampler's own q_{j-2}/q_{j-1}
+            logq += np.log(sampler.step(rng) + r)
         done = target
         out.append((target, logq.copy()))
     return out
@@ -832,8 +806,7 @@ class EFDecayReport:
                 "rows_f": [r.to_json_dict() for r in self.rows_f]}
 
 
-def _tune_theta(d: int, target: float, seed: np.random.SeedSequence,
-                pilot_n: int = 1500, pilot_depth: int = 1200) -> float:
+def _tune_theta(d: int, target: float, seed: np.random.SeedSequence) -> float:
     """Tilt strength whose mean digit-d frequency lands near target.
 
     Starts from the closed form for an independent Bernoulli stream (the
@@ -845,20 +818,22 @@ def _tune_theta(d: int, target: float, seed: np.random.SeedSequence,
     t = min(max(target, 1e-3), 1.0 - 1e-3)
     theta = math.log(t * (1.0 - p0) / (p0 * (1.0 - t)))
     for _ in range(2):
-        sampler = GaussDigitSampler(pilot_n)
+        sampler = GaussDigitSampler(PILOT_ROWS)
         count = 0
-        for _ in range(pilot_depth):
+        for _ in range(PILOT_DEPTH):
             a, _ = sampler.step_tilted(theta, d, rng)
             count += int((a == d).sum())
-        frac = count / (pilot_n * pilot_depth)
+        frac = count / (PILOT_ROWS * PILOT_DEPTH)
         theta += (t - frac) / max(frac * (1.0 - frac), 1e-3)
     return theta
 
 
-def _tilted_tail_run(args) -> dict[int, tuple[float, float]]:
+def _tilted_tail_run(d: int, theta: float, checkpoints: Sequence[int],
+                     n_samples: int, threshold_frac: float, upper: bool,
+                     seed: np.random.SeedSequence
+                     ) -> dict[int, tuple[float, float]]:
     """One tilted pass; per checkpoint the log mean and log stderr of the
     weighted tail indicator."""
-    d, theta, checkpoints, n_samples, threshold_frac, upper, seed = args
     rng = np.random.default_rng(seed)
     sampler = GaussDigitSampler(n_samples)
     logw = np.zeros(n_samples)
@@ -888,8 +863,8 @@ def _tilted_tail_run(args) -> dict[int, tuple[float, float]]:
     return out
 
 
-def _f_decay_run(args) -> list[FRow]:
-    checkpoints, n_samples, epsilon, seed = args
+def _f_decay_run(checkpoints: Sequence[int], n_samples: int, epsilon: float,
+                 seed: np.random.SeedSequence) -> list[FRow]:
     rows = []
     for step, logq in _log_growth(n_samples, seed, checkpoints):
         hits = int((np.abs(logq / step - KHINCHIN_LEVY) > epsilon).sum())
@@ -898,13 +873,6 @@ def _f_decay_run(args) -> list[FRow]:
                          stderr=math.sqrt(p * (1.0 - p) / n_samples),
                          hits=hits))
     return rows
-
-
-def _ef_task(args):
-    tag = args[0]
-    if tag == "tilt":
-        return _tilted_tail_run(args[1:])
-    return _f_decay_run(args[1:])
 
 
 def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
@@ -940,16 +908,17 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
     theta_hi = _tune_theta(d, frac_hi, seeds[0])
     theta_lo = _tune_theta(d, frac_lo, seeds[1])
 
-    tasks = [
-        ("tilt", d, theta_hi, cps, n_samples, frac_hi, True, seeds[2]),
-        ("tilt", d, theta_lo, cps, n_samples, frac_lo, False, seeds[3]),
-        ("f", cps, n_samples, eps_f, seeds[4]),
+    runs = [
+        (_tilted_tail_run, d, theta_hi, cps, n_samples, frac_hi, True, seeds[2]),
+        (_tilted_tail_run, d, theta_lo, cps, n_samples, frac_lo, False, seeds[3]),
+        (_f_decay_run, cps, n_samples, eps_f, seeds[4]),
     ]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, 3)) as pool:
-            hi_out, lo_out, rows_f = list(pool.map(_ef_task, tasks))
+            futures = [pool.submit(*run) for run in runs]
+            hi_out, lo_out, rows_f = (f.result() for f in futures)
     else:
-        hi_out, lo_out, rows_f = (_ef_task(t) for t in tasks)
+        hi_out, lo_out, rows_f = (fn(*args) for fn, *args in runs)
 
     rows_e = []
     for cp in cps:

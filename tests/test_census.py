@@ -10,11 +10,12 @@ from cfnormal import census
 from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
                              GaussDigitSampler, NormalityParams,
                              _block_occurrences, _classify_block,
-                             _den_chunks, _euclid_counts, _gamma_block,
+                             _den_chunks, _digit_of, _euclid_counts,
+                             _gamma_block,
                              continuant_den, digit_length, ef_decay_estimates,
                              estimate_measure, gamma_census,
                              gamma_prime_contains, gamma_prime_q_bounds,
-                             gauss_orbit_digits, in_E_set, in_F_set, in_gamma,
+                             in_E_set, in_F_set, in_gamma,
                              is_eps_s_normal, mc_growth_rate, merge_estimates,
                              n_delta, resolve_threads, run_census)
 from cfnormal.core import Convention, Rational, cf_digits, expand
@@ -504,26 +505,40 @@ class TestGaussDigitSampler:
         with pytest.raises(ValueError):
             GaussDigitSampler(0)
 
-
-class TestOrbitDigits:
     def test_known_first_digits(self):
-        digits = gauss_orbit_digits(np.array([0.9, 0.1]), 1)
-        assert digits[:, 0].tolist() == [1, 13]
+        # from the start state the inverse CDF is 2^u - 1
+        sampler = GaussDigitSampler(2)
+        assert _digit_of(sampler._inverse(np.array([0.9, 0.1]))).tolist() \
+            == [1, 13]
 
-    def test_depth_cap(self):
-        with pytest.raises(ValueError):
-            gauss_orbit_digits(np.array([0.5]), 41)
+    def test_digits_below_one_are_rejected(self):
+        sampler = GaussDigitSampler(3)
+        rng = np.random.default_rng(0)
+        for d in (0, -2):
+            with pytest.raises(ValueError, match="digits are >= 1"):
+                sampler.prob_digit(d)
+            with pytest.raises(ValueError, match="digits are >= 1"):
+                sampler.step_tilted(0.5, d, rng)
+
+    def test_tilted_step_evaluates_the_cdf_twice(self, monkeypatch):
+        calls = []
+        cdf = GaussDigitSampler._cdf
+
+        def counting(self, t):
+            calls.append(t)
+            return cdf(self, t)
+
+        monkeypatch.setattr(GaussDigitSampler, "_cdf", counting)
+        GaussDigitSampler(4).step_tilted(0.5, 2, np.random.default_rng(0))
+        assert len(calls) == 2
 
 
 class TestEstimateMeasure:
-    def test_first_digit_measure_both_methods(self):
-        mu = gauss_measure((1,))
-        for method, seed in (("orbit", 5), ("chain", 6)):
-            est = estimate_measure(lambda digits: digits[:, 0] == 1,
-                                   depth=5, n_samples=10 ** 5, seed=seed,
-                                   method=method)
-            assert abs(est.estimate - mu) < 4 * est.stderr
-            assert est.hits == round(est.estimate * est.n_samples)
+    def test_first_digit_measure(self):
+        est = estimate_measure(lambda digits: digits[:, 0] == 1,
+                               depth=5, n_samples=10 ** 5, seed=6)
+        assert abs(est.estimate - gauss_measure((1,))) < 4 * est.stderr
+        assert est.hits == round(est.estimate * est.n_samples)
 
     def test_two_digit_cylinder(self):
         def pred(digits):
@@ -542,14 +557,10 @@ class TestEstimateMeasure:
         b = estimate_measure(pred, depth=4, n_samples=5000, seed=77)
         assert a == b
 
-    def test_method_selection(self):
+    def test_deep_prefix(self):
         pred = lambda digits: digits[:, 0] == 1
         est = estimate_measure(pred, depth=41, n_samples=2000, seed=1)
-        assert est.n_samples == 2000   # auto fell back to the chain
-        with pytest.raises(ValueError):
-            estimate_measure(pred, depth=41, n_samples=2000, method="orbit")
-        with pytest.raises(ValueError):
-            estimate_measure(pred, depth=5, n_samples=2000, method="euler")
+        assert est.n_samples == 2000
 
     def test_argument_validation(self):
         pred = lambda digits: digits[:, 0] == 1
@@ -646,13 +657,28 @@ class TestPinnedOutputs:
             {"N": 50, "estimate": 0.4395, "stderr": 0.011098192420389907,
              "hits": 879}]
 
+    def test_ef_decay_report_digit_two(self):
+        # d = 2 reads the CDF at 1/2 and 1/3, where d = 1 reads it at 1
+        doc = ef_decay_estimates(checkpoints=(10, 50), n_samples=2000,
+                                 seed=4, s=(2,)).to_json_dict()
+        assert (doc["params"]["theta_hi"], doc["params"]["theta_lo"]) == (
+            0.5146173081230623, -0.785662196770797)
+        assert doc["rows_e"] == [
+            {"N": 10, "estimate": 0.39216043915865983,
+             "log_estimate": -0.9360842393573379,
+             "rel_stderr": 0.01860652993598436},
+            {"N": 50, "estimate": 0.1319890012112013,
+             "log_estimate": -2.0250366840249825,
+             "rel_stderr": 0.020339951255937617}]
+        assert [row["hits"] for row in doc["rows_f"]] == [1473, 879]
+
     def test_estimate_measure_across_a_block(self):
         # 70000 samples take two blocks of rows
         pred = lambda digits: (digits[:, :3] == 1).all(axis=1)
-        orbit = estimate_measure(pred, 5, 70000, seed=2)
-        chain = estimate_measure(pred, 50, 70000, seed=2, method="chain")
-        assert (orbit.hits, orbit.stderr) == (4113, 0.0008888575413771172)
-        assert (chain.hits, chain.stderr) == (4181, 0.0008957125589932255)
+        shallow = estimate_measure(pred, 5, 70000, seed=2)
+        deep = estimate_measure(pred, 50, 70000, seed=2)
+        assert (shallow.hits, shallow.stderr) == (4137, 0.0008912847067976813)
+        assert (deep.hits, deep.stderr) == (4181, 0.0008957125589932255)
 
     def test_gamma_census(self):
         short = gamma_census(GammaParams(m=2000, delta=0.05, eta=0.2, s=(1,)),
