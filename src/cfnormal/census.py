@@ -608,11 +608,13 @@ class GaussDigitSampler:
 
     def _digit_interval(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """(CDF at 1/(d+1), P(next digit = d | state)): digit d is the tail
-        interval (1/(d+1), 1/d]."""
+        interval (1/(d+1), 1/d].  The CDF at 1 is exactly 1.0: its log1p is
+        the same expression as k, and the k = 0 rows give (1+rho)/(1+rho)."""
         if d < 1:
             raise ValueError(f"digits are >= 1, got {d}")
         c_lo = self._cdf(1.0 / (d + 1.0))
-        return c_lo, self._cdf(1.0 / d) - c_lo
+        c_hi = 1.0 if d == 1 else self._cdf(1.0 / d)
+        return c_lo, c_hi - c_lo
 
     def prob_digit(self, d: int) -> np.ndarray:
         """P(next digit = d | state), an interval of the tail distribution."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Rational
 from .errors import ResourceLimitError
-from .sieves import SIEVE_LIMIT_MAX, ArithTables, get_tables
+from .sieves import SIEVE_LIMIT_MAX, ArithTables, factorize_distinct, get_tables
 
 Member = Union[Rational, tuple[int, int]]
 
@@ -254,6 +254,14 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray,
 
     Vectorized counterpart of enumerate_R used by the high-throughput digit
     generators; raw pairs for ALL_WITH_DUPLICATES, reduced members otherwise.
+    Each denominator d has a row of candidate numerators: 1..d-1, or the
+    primes below d for type2 and type3.  Lowest terms comes from a sieve,
+    not a gcd: every candidate starts kept (squarefree keeps its squarefree
+    numerators, type2 every prime), and for each distinct prime q of d the
+    multiples of q in the row are struck: one strided slice per (d, q), or
+    for type2 the one prime q.  The members are then read off the kept
+    positions, so beyond the mask nothing the size of the candidates is
+    allocated.
     """
     d_lo = max(d_lo, 2)
     if d_hi <= d_lo:
@@ -262,42 +270,40 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray,
     isp = tables.is_prime
     sf = tables.is_squarefree
 
+    dens = np.arange(d_lo, d_hi, dtype=np.int64)
     if kind in (SequenceKind.TYPE1, SequenceKind.TYPE3):
-        dens = np.arange(d_lo, d_hi, dtype=np.int64)
         dens = dens[isp[d_lo:d_hi]]
-        if kind is SequenceKind.TYPE1:
-            counts = dens - 1
-        else:
-            pi = np.cumsum(isp[:d_hi].astype(np.int64))
-            counts = pi[dens] - 1
+    elif kind is SequenceKind.SQUAREFREE_BOTH:
+        dens = dens[sf[d_lo:d_hi]]
+    prime_nums = kind in (SequenceKind.TYPE2, SequenceKind.TYPE3)
+    if prime_nums:
+        pi = np.cumsum(isp[:d_hi], dtype=np.int64)
+        counts = pi[dens - 1]
     else:
-        dens = np.arange(d_lo, d_hi, dtype=np.int64)
-        if kind is SequenceKind.SQUAREFREE_BOTH:
-            dens = dens[sf[d_lo:d_hi]]
         counts = dens - 1
-
     total = int(counts.sum())
     if total == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    den_rep = np.repeat(dens, counts)
     starts = np.cumsum(counts) - counts
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
 
-    if kind is SequenceKind.TYPE3:
-        primes = np.nonzero(isp[:d_hi])[0].astype(np.int64)
-        num = primes[local]
+    if kind in (SequenceKind.ALL_WITH_DUPLICATES, SequenceKind.TYPE1,
+                SequenceKind.TYPE3):
+        pos = np.arange(total, dtype=np.int64)
+        kept = counts
     else:
-        num = local + 1
-
-    if kind is SequenceKind.ALL_WITH_DUPLICATES or kind is SequenceKind.TYPE1 \
-            or kind is SequenceKind.TYPE3:
-        return num, den_rep
-    if kind is SequenceKind.ALL_LOWEST_TERMS:
-        keep = np.gcd(num, den_rep) == 1
-    elif kind is SequenceKind.SQUAREFREE_BOTH:
-        keep = sf[num] & (np.gcd(num, den_rep) == 1)
-    elif kind is SequenceKind.TYPE2:
-        keep = isp[num] & (den_rep % num != 0)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    return num[keep], den_rep[keep]
+        keep = np.ones(total, dtype=bool)
+        for d, start, n in zip(dens.tolist(), starts.tolist(), counts.tolist()):
+            if kind is SequenceKind.SQUAREFREE_BOTH:
+                keep[start:start + n] = sf[1:d]
+            for q in factorize_distinct(d):
+                if not prime_nums:
+                    keep[start + q - 1:start + n:q] = False
+                elif q < d:  # q is the pi(q)-th prime, the only multiple
+                    keep[start + pi[q] - 1] = False
+        pos = np.flatnonzero(keep)
+        kept = np.diff(np.searchsorted(pos, starts), append=len(pos))
+    pos -= np.repeat(starts, kept)  # each member's place among its candidates
+    if prime_nums:
+        return np.flatnonzero(isp[:d_hi])[pos], np.repeat(dens, kept)
+    pos += 1
+    return pos, np.repeat(dens, kept)

@@ -112,7 +112,8 @@ def _max_expansion_length(max_den: int, convention: Convention) -> int:
 def digit_matrix(num: np.ndarray, den: np.ndarray,
                  convention: Convention = Convention.LONG
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise continued fraction digits of num/den (reduced first).
+    """Row-wise continued fraction digits of num/den, reduced or not: the
+    quotients are those of the reduced value.
 
     Returns (matrix, lengths): matrix[i, :lengths[i]] are the digits of row i
     and the padding is zero.  Runs the Euclidean algorithm across all rows in
@@ -127,9 +128,7 @@ def digit_matrix(num: np.ndarray, den: np.ndarray,
         raise ValueError("num and den must have the same shape")
     if len(num) and (np.any(num < 1) or np.any(num >= den)):
         raise ValueError("need 0 < num < den rowwise")
-    g = np.gcd(num, den)
-    p = num // g
-    q = den // g
+    p, q = num, den
     rows = len(p)
     width = _max_expansion_length(int(den.max()) if rows else 2, convention)
     mat = np.zeros((rows, width), dtype=np.int64, order="F")

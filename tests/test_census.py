@@ -532,6 +532,28 @@ class TestGaussDigitSampler:
         GaussDigitSampler(4).step_tilted(0.5, 2, np.random.default_rng(0))
         assert len(calls) == 2
 
+    def test_tilted_step_at_digit_one_evaluates_the_cdf_once(self, monkeypatch):
+        # the CDF at 1/d = 1 is exactly 1.0, so only 1/(d+1) is evaluated
+        calls = []
+        cdf = GaussDigitSampler._cdf
+
+        def counting(self, t):
+            calls.append(t)
+            return cdf(self, t)
+
+        monkeypatch.setattr(GaussDigitSampler, "_cdf", counting)
+        GaussDigitSampler(4).step_tilted(0.5, 1, np.random.default_rng(0))
+        assert calls == [0.5]
+
+    def test_cdf_at_one_is_exactly_one(self):
+        sampler = GaussDigitSampler(1000)
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            assert np.all(sampler._cdf(1.0) == 1.0)
+            sampler.step(rng)
+        sampler._set_state(np.array([0.25, 0.5]), np.array([0.25, 0.5]))
+        assert sampler.any_deg and np.all(sampler._cdf(1.0) == 1.0)
+
 
 class TestEstimateMeasure:
     def test_first_digit_measure(self):

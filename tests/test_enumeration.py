@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfnormal import enumeration
@@ -15,6 +15,7 @@ from cfnormal.enumeration import (SequenceKind, count_R, enumerate_R,
                                   index_of, iter_members, members_at,
                                   members_block, rational_at)
 from cfnormal.errors import ResourceLimitError
+from cfnormal.sieves import get_tables
 
 all_kinds = st.sampled_from(list(SequenceKind))
 
@@ -140,6 +141,55 @@ def test_members_block_empty_ranges():
     assert len(num) == 0 and len(den) == 0
     num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, 10, 10)
     assert len(num) == 0
+
+
+def _gcd_rule(kind, d_lo, d_hi):
+    """Members by a pairwise rule: every raw pair (num, den) of the block,
+    filtered by np.gcd and the kind's tables."""
+    dens = np.arange(max(d_lo, 2), d_hi, dtype=np.int64)
+    den = np.repeat(dens, dens - 1)
+    num = np.concatenate([np.arange(1, d, dtype=np.int64) for d in dens]
+                         + [np.empty(0, dtype=np.int64)])
+    tables = get_tables(max(d_hi, 2))
+    isp, sf = tables.is_prime, tables.is_squarefree
+    coprime = np.gcd(num, den) == 1
+    keep = {
+        SequenceKind.ALL_WITH_DUPLICATES: np.ones(len(num), dtype=bool),
+        SequenceKind.ALL_LOWEST_TERMS: coprime,
+        SequenceKind.SQUAREFREE_BOTH: coprime & sf[num] & sf[den],
+        SequenceKind.TYPE1: isp[den],
+        SequenceKind.TYPE2: coprime & isp[num],
+        SequenceKind.TYPE3: isp[num] & isp[den],
+    }[kind]
+    return num[keep], den[keep]
+
+
+ALL, SF, T2 = (SequenceKind.ALL_LOWEST_TERMS, SequenceKind.SQUAREFREE_BOTH,
+               SequenceKind.TYPE2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=all_kinds, d_lo=st.integers(0, 5000), width=st.integers(0, 60))
+@example(kind=ALL, d_lo=7919, width=1)      # prime
+@example(kind=ALL, d_lo=4096, width=1)      # 2^12
+@example(kind=ALL, d_lo=2187, width=1)      # 3^7
+@example(kind=SF, d_lo=7919, width=1)
+@example(kind=T2, d_lo=4096, width=1)
+@example(kind=ALL, d_lo=30030, width=1)     # 2*3*5*7*11*13
+@example(kind=SF, d_lo=30030, width=1)
+@example(kind=T2, d_lo=30030, width=1)
+@example(kind=ALL, d_lo=510510, width=1)    # 2*3*5*7*11*13*17
+@example(kind=SF, d_lo=510510, width=1)
+@example(kind=T2, d_lo=510510, width=1)
+@example(kind=ALL, d_lo=30028, width=5)
+@example(kind=T2, d_lo=0, width=5)          # d = 2 has no prime numerator
+@example(kind=SequenceKind.TYPE3, d_lo=2, width=1)
+def test_members_block_matches_the_pairwise_rule(kind, d_lo, width):
+    num, den = members_block(kind, d_lo, d_lo + width)
+    want_num, want_den = _gcd_rule(kind, d_lo, d_lo + width)
+    assert num.dtype == den.dtype == np.int64
+    assert np.array_equal(num, want_num)
+    assert np.array_equal(den, want_den)
 
 
 def _pick(kind, num, den):

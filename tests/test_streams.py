@@ -109,6 +109,31 @@ class TestVectorizedGeneration:
         flat = flatten_digit_matrix(mat, lengths)
         assert flat.tolist() == [1, 1, 1, 1, 1, 1, 1, 1, 1]
 
+    @given(st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+                              st.integers(1, 50)), min_size=1, max_size=40))
+    def test_digit_matrix_is_invariant_under_scaling_a_pair(self, rows):
+        pairs = [(min(a, b), max(a, b) + 1, k) for a, b, k in rows]
+        num = np.array([n for n, _, _ in pairs], dtype=np.int64)
+        den = np.array([d for _, d, _ in pairs], dtype=np.int64)
+        k = np.array([k for _, _, k in pairs], dtype=np.int64)
+        for convention in Convention:
+            mat, lengths = digit_matrix(num, den, convention)
+            kmat, klengths = digit_matrix(k * num, k * den, convention)
+            assert np.array_equal(klengths, lengths)
+            width = mat.shape[1]
+            assert np.array_equal(kmat[:, :width], mat)
+            assert not kmat[:, width:].any()
+
+    def test_digit_pipeline_never_calls_gcd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.gcd called")
+
+        monkeypatch.setattr(np, "gcd", refuse)
+        for kind in SequenceKind:
+            num, den = members_block(kind, 2, 300)
+            for convention in Convention:
+                digit_matrix(num, den, convention)
+
     def test_digit_matrix_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             digit_matrix(np.array([2]), np.array([2]))
