@@ -568,6 +568,14 @@ class GaussDigitSampler:
     the Gauss map forward, by contrast, sheds accuracy with every digit.
     At the start (r, rho) = (0, 1) and the first draw reproduces the plain
     inverse-CDF sample 2^u - 1.
+
+    r and rho differ by O(1/q2^2), so within a few dozen digits they round
+    to the same double in every row; equality is absorbing, since both
+    update by the same map.  From the first state in which every row has
+    r == rho the sampler is merged: self.r is self.rho, one array, the law
+    is the one-parameter (1+rho)/(1+rho y)^2, and the CDF and its inverse
+    use only their k = 0 forms.  Those are the expressions the two-parameter
+    state already takes on its k = 0 rows, so merging changes no bit.
     """
 
     def __init__(self, n: int):
@@ -579,37 +587,49 @@ class GaussDigitSampler:
     def _set_state(self, r: np.ndarray, rho: np.ndarray) -> None:
         """Take the new (r, rho) and the per-row terms the CDF and its
         inverse share: r - rho, the scale k = ln((1+r)/(1+rho)) (written to
-        stay accurate when r ~ rho), and the rows where k is 0."""
+        stay accurate when r ~ rho), and the rows where k is 0.  When every
+        row has k = 0, r == rho throughout and the state merges."""
         self.r, self.rho = r, rho
         self.diff = r - rho
         self.k = np.log1p(self.diff / (1.0 + rho))
         self.deg = self.k == 0.0
         self.any_deg = bool(self.deg.any())
+        if self.any_deg and self.deg.all():
+            self.rho = r
 
     def _cdf(self, t) -> np.ndarray:
-        num = np.log1p(self.diff * t / (1.0 + self.rho * t))
-        with np.errstate(invalid="ignore"):
-            c = num / self.k
-        if self.any_deg:
-            c = np.where(self.deg,
-                         t * (1.0 + self.rho) / (1.0 + self.rho * t), c)
-        return c
+        merged = self.r is self.rho
+        if not merged:
+            num = np.log1p(self.diff * t / (1.0 + self.rho * t))
+            with np.errstate(invalid="ignore"):
+                c = num / self.k
+            if not self.any_deg:
+                return c
+        flat = t * (1.0 + self.rho) / (1.0 + self.rho * t)  # the k = 0 rows
+        return flat if merged else np.where(self.deg, flat, c)
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
-        em = np.expm1(u * self.k)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = em / (self.diff - self.rho * em)
-        if self.any_deg:
-            t = np.where(self.deg, u / (1.0 + self.rho - u * self.rho), t)
-        return t
+        merged = self.r is self.rho
+        if not merged:
+            em = np.expm1(u * self.k)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                t = em / (self.diff - self.rho * em)
+            if not self.any_deg:
+                return t
+        flat = u / (1.0 + self.rho - u * self.rho)  # the k = 0 rows
+        return flat if merged else np.where(self.deg, flat, t)
 
     def push(self, a: np.ndarray) -> None:
-        self._set_state(1.0 / (a + self.r), 1.0 / (a + self.rho))
+        if self.r is self.rho:  # merged: diff and k stay 0, deg stays True
+            self.r = self.rho = 1.0 / (a + self.r)
+        else:
+            self._set_state(1.0 / (a + self.r), 1.0 / (a + self.rho))
 
     def _digit_interval(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """(CDF at 1/(d+1), P(next digit = d | state)): digit d is the tail
         interval (1/(d+1), 1/d].  The CDF at 1 is exactly 1.0: its log1p is
-        the same expression as k, and the k = 0 rows give (1+rho)/(1+rho)."""
+        the same expression as k, and the k = 0 rows, like every row of a
+        merged state, give (1+rho)/(1+rho)."""
         if d < 1:
             raise ValueError(f"digits are >= 1, got {d}")
         c_lo = self._cdf(1.0 / (d + 1.0))
@@ -902,6 +922,11 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
     cps = sorted(set(int(c) for c in checkpoints))
     if not cps or cps[0] < 1:
         raise ValueError("need checkpoints, each >= 1")
+    for name, eps in (("eps_e", eps_e), ("eps_f", eps_f)):
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {eps}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     d = s.digits[0]
     mu = gauss_measure(s)
     frac_hi = (1.0 + eps_e) * mu

@@ -555,6 +555,74 @@ class TestGaussDigitSampler:
         assert sampler.any_deg and np.all(sampler._cdf(1.0) == 1.0)
 
 
+def _two_branch(r, rho, t, u):
+    """The tail law's CDF at t and inverse CDF at u for the state (r, rho),
+    each row by its k = ln((1+r)/(1+rho)) formula or, where k is 0, by the
+    one-parameter formula."""
+    diff = r - rho
+    k = np.log1p(diff / (1.0 + rho))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cdf = np.where(k == 0.0, t * (1.0 + rho) / (1.0 + rho * t),
+                       np.log1p(diff * t / (1.0 + rho * t)) / k)
+        em = np.expm1(u * k)
+        inv = np.where(k == 0.0, u / (1.0 + rho - u * rho),
+                       em / (diff - rho * em))
+    return cdf, inv
+
+
+class TestMergedState:
+    """Once r == rho in every row the sampler keeps one parameter array and
+    evaluates only the one-parameter formulas, with the same bits."""
+
+    @staticmethod
+    def _run(walk, n=10 ** 4, steps=60):
+        sampler = GaussDigitSampler(n)
+        rng = np.random.default_rng(17)
+        for _ in range(steps):
+            walk(sampler, rng)
+        return sampler
+
+    @pytest.mark.parametrize("walk", [
+        lambda s, rng: s.step(rng),
+        lambda s, rng: s.step_tilted(1.0, 1, rng),
+        lambda s, rng: s.step_tilted(-1.0, 1, rng),
+        lambda s, rng: s.step_tilted(1.0, 2, rng),
+        lambda s, rng: s.step_tilted(-1.0, 2, rng),
+    ], ids=["plain", "tilt+1-d1", "tilt-1-d1", "tilt+1-d2", "tilt-1-d2"])
+    def test_chain_merges_within_sixty_steps(self, walk):
+        sampler = self._run(walk)
+        assert sampler.r is sampler.rho
+        assert sampler.deg.all() and sampler.any_deg
+
+    def test_merged_formulas_match_the_two_branch_ones(self):
+        sampler = self._run(lambda s, rng: s.step(rng), n=2000)
+        assert sampler.r is sampler.rho
+        u = np.random.default_rng(5).random(sampler.n)
+        for t in (1.0 / 2.0, 1.0 / 3.0, 0.123, u):
+            cdf, inv = _two_branch(sampler.r, sampler.rho, t, u)
+            assert np.array_equal(sampler._cdf(t), cdf)
+            assert np.array_equal(sampler._inverse(u), inv)
+
+    def test_one_unmerged_row_keeps_both_branches(self):
+        merged = self._run(lambda s, rng: s.step(rng), n=2000)
+        fresh = self._run(lambda s, rng: s.step(rng), n=2000, steps=3)
+        r = merged.r.copy()
+        rho = merged.rho.copy()
+        r[7], rho[7] = fresh.r[7], fresh.rho[7]
+        assert r[7] != rho[7]
+        sampler = GaussDigitSampler(2000)
+        sampler._set_state(r, rho)
+        assert sampler.r is not sampler.rho
+        assert sampler.any_deg and not sampler.deg.all()
+        u = np.random.default_rng(6).random(sampler.n)
+        for t in (1.0 / 2.0, 1.0 / 3.0, u):
+            cdf, inv = _two_branch(r, rho, t, u)
+            assert np.array_equal(sampler._cdf(t), cdf)
+            assert np.array_equal(sampler._inverse(u), inv)
+        sampler.push(np.full(sampler.n, 2))
+        assert sampler.r is not sampler.rho
+
+
 class TestEstimateMeasure:
     def test_first_digit_measure(self):
         est = estimate_measure(lambda digits: digits[:, 0] == 1,
@@ -649,6 +717,15 @@ class TestEFDecay:
             ef_decay_estimates(checkpoints=(0, 10), n_samples=2000)
         with pytest.raises(ValueError):
             ef_decay_estimates(checkpoints=(), n_samples=2000)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                ef_decay_estimates(checkpoints=(10, 20), n_samples=1000,
+                                   threads=threads)
+        for name in ("eps_e", "eps_f"):
+            for eps in (-0.2, -1.0, 0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    ef_decay_estimates(checkpoints=(10, 20), n_samples=1000,
+                                       **{name: eps})
 
 
 class TestPinnedOutputs:
@@ -701,6 +778,38 @@ class TestPinnedOutputs:
         deep = estimate_measure(pred, 50, 70000, seed=2)
         assert (shallow.hits, shallow.stderr) == (4137, 0.0008912847067976813)
         assert (deep.hits, deep.stderr) == (4181, 0.0008957125589932255)
+
+    # The next three run well past the depth at which every row's chain
+    # state has merged (r == rho); their values come from the two-branch
+    # CDF evaluated on every row.
+
+    def test_mc_growth_rate_past_the_merge(self):
+        est = mc_growth_rate(200, 2000, seed=11)
+        assert (est.mean, est.stderr) == (1.1842016419146122,
+                                          0.0014760489009831195)
+
+    def test_estimate_measure_past_the_merge(self):
+        est = estimate_measure(lambda digits: digits[:, 59] == 1, 60, 5000,
+                               seed=5)
+        assert (est.hits, est.stderr) == (2097, 0.0069785906886705995)
+
+    def test_ef_decay_report_past_the_merge(self):
+        doc = ef_decay_estimates(checkpoints=(10, 100), n_samples=2000,
+                                 seed=4, s=(3,)).to_json_dict()
+        assert (doc["params"]["theta_hi"], doc["params"]["theta_lo"]) == (
+            0.45899111506617407, -0.7419646987090293)
+        assert doc["rows_e"] == [
+            {"N": 10, "estimate": 0.6043155318439597,
+             "log_estimate": -0.5036588137374742,
+             "rel_stderr": 0.015446323622312767},
+            {"N": 100, "estimate": 0.11517095636267147,
+             "log_estimate": -2.161337677414018,
+             "rel_stderr": 0.022764171713680777}]
+        assert doc["rows_f"] == [
+            {"N": 10, "estimate": 0.7365, "stderr": 0.009850577394244461,
+             "hits": 1473},
+            {"N": 100, "estimate": 0.276, "stderr": 0.009995599031573845,
+             "hits": 552}]
 
     def test_gamma_census(self):
         short = gamma_census(GammaParams(m=2000, delta=0.05, eta=0.2, s=(1,)),
