@@ -27,7 +27,7 @@ from .core import Convention, Rational, continuants, expand
 from .enumeration import SequenceKind, count_R, members_block
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
-from .streams import digit_matrix
+from .streams import _euclid_counts, _window_hits
 
 CENSUS_ROW_LIMIT = 2 * 10 ** 8
 #: estimate_measure samples this many rows at a time
@@ -49,7 +49,10 @@ def resolve_threads(value: Optional[int] = None) -> int:
         return value
     env = os.environ.get("CFNORMAL_THREADS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(
+                f"CFNORMAL_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
     return os.cpu_count() or 1
 
 
@@ -130,7 +133,7 @@ def is_eps_s_normal(r: Rational, p: NormalityParams) -> NormalityCheck:
 def _block_occurrences(mat: np.ndarray, lengths: np.ndarray,
                        s_digits: tuple[int, ...]) -> np.ndarray:
     """Rowwise count of s inside the first lengths[i] digits of row i; the
-    window scan behind _gamma_block, which still reads a digit matrix."""
+    window scan behind _gamma_block, over its n leading digit columns."""
     k = len(s_digits)
     width = mat.shape[1]
     counts = np.zeros(mat.shape[0], dtype=np.int64)
@@ -140,82 +143,6 @@ def _block_occurrences(mat: np.ndarray, lengths: np.ndarray,
             ok = ok & (mat[:, j + t] == d)
         counts += ok
     return counts
-
-
-def _window_hits(window: Sequence, s_digits: tuple[int, ...]):
-    """Rowwise window == s, for a window given as k digit columns (arrays
-    or scalars), oldest first."""
-    hit = window[-1] == s_digits[-1]
-    for col, d in zip(window[:-1], s_digits[:-1]):
-        hit = hit & (col == d)
-    return hit
-
-
-def _euclid_counts(num: np.ndarray, den: np.ndarray,
-                   s_digits: tuple[int, ...], convention: Convention
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lengths, counts of s, first k digits, gcd) of each row num/den.
-
-    One lockstep Euclid over the rows still running, as in digit_matrix, but
-    with no digit matrix: each live row carries its count of s and a shift
-    register of its last k-1 digits, and a window is counted when its last
-    digit arrives.  A row's final quotient a is one digit under SHORT and the
-    two digits (a-1, 1) under LONG.  Unreduced pairs give the digits of their
-    lowest terms, and the last divisor of each row is its gcd.  first[i] is
-    zero past lengths[i].  The Euclid state is int32, so every denominator
-    must lie below 2^31; the census row limit keeps them far below.
-    """
-    k = len(s_digits)
-    rows = len(num)
-    if rows and int(den.max()) >= 2 ** 31:
-        raise OverflowError("census kernel needs denominators below 2^31")
-    long_tail = convention is Convention.LONG
-    lengths = np.empty(rows, dtype=np.int64)
-    counts = np.empty(rows, dtype=np.int64)
-    gcd = np.empty(rows, dtype=np.int64)
-    first = np.zeros((rows, k), dtype=np.int64, order="F")
-    live = np.arange(rows)
-    # int32 state moves half the bytes of int64 through each division and
-    # gather.  A count fits int8: by Lame's bound a row below 2^31 has at
-    # most 45 digits.
-    q, p = den.astype(np.int32), num.astype(np.int32)
-    count = np.zeros(rows, dtype=np.int8)
-    reg = [np.zeros(rows, dtype=np.int32) for _ in range(k - 1)]
-    col = 0
-    while len(live):
-        a, r = np.divmod(q, p)
-        end = r == 0
-        stop = np.flatnonzero(end)
-        if long_tail:
-            a[stop] -= 1
-        if col < k:
-            first[live, col] = a
-        if col >= k - 1:
-            count += _window_hits(reg + [a], s_digits)
-        if len(stop):
-            done = live.take(stop)
-            tail = count.take(stop)
-            if long_tail:
-                if col + 1 < k:
-                    first[done, col + 1] = 1
-                if col >= k - 2:
-                    tail += _window_hits([x.take(stop) for x in reg[1:]]
-                                         + [a.take(stop), 1][-k:], s_digits)
-            lengths[done] = col + 1 + long_tail
-            counts[done] = tail
-            gcd[done] = p.take(stop)
-        if k > 1:
-            reg = reg[1:] + [a]
-        if len(stop):
-            going = np.flatnonzero(~end)
-            live = live.take(going)
-            q, p = p.take(going), r.take(going)
-            count = count.take(going)
-            reg = [x.take(going) for x in reg]
-        else:
-            q, p = p, r
-        col += 1
-    return lengths, counts, first, gcd
 
 
 def _abnormal(counts: np.ndarray, lengths: np.ndarray, logq: np.ndarray,
@@ -240,7 +167,8 @@ def _classify_block(num: np.ndarray, den: np.ndarray, p: NormalityParams,
         half = np.flatnonzero(2 * num <= den)
         num, den = num[half], den[half]
     s = p.s.digits
-    lengths, counts, first, gcd = _euclid_counts(num, den, s, p.convention)
+    lengths, counts, first, gcd = _euclid_counts(num, den, s, p.convention,
+                                                 len(s))
     logq = np.log((den // gcd).astype(np.float64))
     bad = int(_abnormal(counts, lengths, logq, p).sum())
     if mirror:
@@ -254,12 +182,12 @@ def _classify_block(num: np.ndarray, den: np.ndarray, p: NormalityParams,
     return rows, bad
 
 
-def _den_chunks(d_lo: int, d_hi: int, pair_budget: int = 2_000_000):
-    """Split [d_lo, d_hi] so each piece holds at most ~pair_budget pairs."""
-    lo = d_lo
-    while lo <= d_hi:
-        hi = max(lo + 8, math.isqrt(lo * lo + 2 * pair_budget))
-        hi = min(hi, d_hi + 1)
+def _den_chunks(m: int):
+    """Split the denominators [2, m] so each piece holds at most ~2e6 pairs."""
+    lo = 2
+    while lo <= m:
+        hi = max(lo + 8, math.isqrt(lo * lo + 4_000_000))
+        hi = min(hi, m + 1)
         yield lo, hi
         lo = hi
 
@@ -280,7 +208,6 @@ class CensusReport:
     params: NormalityParams
     total: int
     abnormal: int
-    den_range: tuple[int, int]
     wall_time: float = field(default=0.0, compare=False)
 
     CSV_HEADER = "m,kind,eps,s,total,abnormal,ratio"
@@ -288,21 +215,6 @@ class CensusReport:
     @property
     def ratio(self) -> float:
         return self.abnormal / self.total if self.total else 0.0
-
-    def merge(self, other: "CensusReport") -> "CensusReport":
-        """Combine reports over disjoint denominator ranges of one census."""
-        if (self.kind, self.m, self.params) != (other.kind, other.m, other.params):
-            raise ValueError("reports describe different censuses")
-        a, b = sorted((self.den_range, other.den_range))
-        if a[1] >= b[0]:
-            raise ValueError("denominator ranges overlap")
-        return CensusReport(
-            kind=self.kind, m=self.m, params=self.params,
-            total=self.total + other.total,
-            abnormal=self.abnormal + other.abnormal,
-            den_range=(a[0], max(a[1], b[1])),
-            wall_time=self.wall_time + other.wall_time,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -312,7 +224,7 @@ class CensusReport:
                 "eps": self.params.epsilon,
                 "s": list(self.params.s.digits),
                 "conv": self.params.convention.value,
-                "den_range": list(self.den_range),
+                "den_range": [2, self.m],
             },
             "total": self.total,
             "abnormal": self.abnormal,
@@ -320,14 +232,15 @@ class CensusReport:
         }
 
     def to_csv_row(self) -> str:
+        s = str(self.params.s)  # RFC 4180: quote a field that holds commas
+        s = f'"{s}"' if "," in s else s
         return (f"{self.m},{self.kind.value},{self.params.epsilon},"
-                f"{self.params.s},{self.total},{self.abnormal},{self.ratio}")
+                f"{s},{self.total},{self.abnormal},{self.ratio}")
 
 
 def run_census(kind: SequenceKind, m: int, p: NormalityParams,
-               den_range: Optional[tuple[int, int]] = None,
                threads: int = 1) -> CensusReport:
-    """Classify every member with denominator up to m (or within den_range).
+    """Classify every member with denominator up to m.
 
     Work proceeds over denominator chunks sized to keep the member arrays
     modest; with threads > 1 the chunks fan out over processes and the
@@ -339,12 +252,9 @@ def run_census(kind: SequenceKind, m: int, p: NormalityParams,
     if expected > CENSUS_ROW_LIMIT:
         raise ResourceLimitError(
             f"census over {expected} members exceeds the row limit {CENSUS_ROW_LIMIT}")
-    lo, hi = den_range if den_range is not None else (2, m)
-    if not 2 <= lo <= hi <= m:
-        raise ValueError("den_range must satisfy 2 <= lo <= hi <= m")
     start = time.perf_counter()
     tasks = [(kind.value, a, b, p.epsilon, p.s.digits, p.convention.value)
-             for a, b in _den_chunks(lo, hi)]
+             for a, b in _den_chunks(m)]
     total = abnormal = 0
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
@@ -356,11 +266,11 @@ def run_census(kind: SequenceKind, m: int, p: NormalityParams,
             rows, bad = _census_chunk(task)
             total += rows
             abnormal += bad
-    if den_range is None and total != expected:
+    if total != expected:
         raise AssertionError(
             f"classified {total} members, expected {expected}")  # pragma: no cover
     return CensusReport(kind=kind, m=m, params=p, total=total,
-                        abnormal=abnormal, den_range=(lo, hi),
+                        abnormal=abnormal,
                         wall_time=time.perf_counter() - start)
 
 
@@ -420,19 +330,19 @@ def in_gamma(r: Rational, gp: GammaParams,
 
 def _gamma_block(num: np.ndarray, den: np.ndarray, gp: GammaParams,
                  convention: Convention) -> np.ndarray:
-    """Vectorized in_gamma over lowest-terms pairs (den <= gp.m assumed)."""
+    """Vectorized in_gamma over lowest-terms pairs (den <= gp.m assumed),
+    read from the first n digits of each row."""
     n = gp.n
-    mat, lengths = digit_matrix(num, den, convention)
+    lengths, _, first, _ = _euclid_counts(num, den, (), convention, n)
     short = lengths < n
-    width = mat.shape[1]
     q_prev = np.zeros(len(num))
     q_cur = np.ones(len(num))
-    for j in range(min(n, width)):
-        a = mat[:, j].astype(np.float64)
+    for j in range(n):
+        a = first[:, j].astype(np.float64)
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     with np.errstate(divide="ignore", invalid="ignore"):
         growth_bad = np.abs(np.log(q_cur) / n - KHINCHIN_LEVY) > gp.delta
-    counts = _block_occurrences(mat, np.minimum(lengths, n), gp.s.digits)
+    counts = _block_occurrences(first, np.minimum(lengths, n), gp.s.digits)
     freq_bad = np.abs(counts / n - gauss_measure(gp.s)) > gp.eta
     return short | growth_bad | freq_bad
 
@@ -461,7 +371,7 @@ def gamma_census(gp: GammaParams,
             f"gamma census over {expected} rationals exceeds the row limit "
             f"{CENSUS_ROW_LIMIT}")
     total = members = 0
-    for lo, hi in _den_chunks(2, gp.m, pair_budget=4_000_000):
+    for lo, hi in _den_chunks(gp.m):
         num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, lo, hi)
         if not len(num):
             continue
@@ -695,18 +605,6 @@ class MeasureEstimate:
     def to_json_dict(self) -> dict:
         return {"estimate": self.estimate, "stderr": self.stderr,
                 "n_samples": self.n_samples, "hits": self.hits}
-
-
-def merge_estimates(parts: Sequence[MeasureEstimate]) -> MeasureEstimate:
-    """Pool independent estimates of the same event by total counts."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    hits = sum(p.hits for p in parts)
-    n = sum(p.n_samples for p in parts)
-    est = hits / n
-    return MeasureEstimate(estimate=est,
-                           stderr=math.sqrt(est * (1.0 - est) / n),
-                           n_samples=n, hits=hits)
 
 
 def estimate_measure(predicate: Callable[[np.ndarray], np.ndarray],

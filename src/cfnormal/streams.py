@@ -10,7 +10,8 @@ Two independent Euclid paths read the same members_block rows: a scalar
 per-rational stream (DigitStream), the oracle, and a vectorized block
 generator (digit_block) that runs the Euclidean algorithm across whole
 denominator ranges at once.  They must agree digit for digit; tests hold
-them to that.
+them to that.  The vectorized side is one int32 kernel, _euclid_counts,
+which digit_matrix and the census classifiers in census.py share.
 """
 
 from __future__ import annotations
@@ -109,6 +110,88 @@ def _max_expansion_length(max_den: int, convention: Convention) -> int:
     return length + (1 if convention is Convention.LONG else 0)
 
 
+def _window_hits(window: Sequence, s_digits: tuple[int, ...]):
+    """Rowwise window == s, for a window given as k digit columns (arrays
+    or scalars), oldest first."""
+    hit = window[-1] == s_digits[-1]
+    for col, d in zip(window[:-1], s_digits[:-1]):
+        hit = hit & (col == d)
+    return hit
+
+
+def _euclid_counts(num: np.ndarray, den: np.ndarray,
+                   s_digits: tuple[int, ...], convention: Convention,
+                   width: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, counts of s, first width digits, gcd) of each row num/den.
+
+    The package's one vectorised Euclid: digit_matrix, the census and the
+    Gamma census all run on it.  The Euclidean algorithm steps all rows in
+    lockstep, one column at a time, over the rows still running; their row
+    numbers and remainders are compacted as rows finish.  Each live row
+    carries its count of s and a shift register of its last k-1 digits, and
+    a window is counted when its last digit arrives.  A row's final quotient
+    a is one digit under SHORT and the two digits (a-1, 1) under LONG.
+    Unreduced pairs give the digits of their lowest terms, and the last
+    divisor of each row is its gcd.  first holds the leading `width` digits
+    of each row, column-major and zero past lengths[i].  With s empty only
+    lengths and first are written; counts and gcd come back uninitialised.
+    The Euclid state is int32, so every denominator must lie below 2^31.
+    """
+    k = len(s_digits)
+    rows = len(num)
+    if rows and int(den.max()) >= 2 ** 31:
+        raise OverflowError("the Euclid kernel needs denominators below 2^31")
+    long_tail = convention is Convention.LONG
+    lengths = np.empty(rows, dtype=np.int64)
+    counts = np.empty(rows, dtype=np.int64)
+    gcd = np.empty(rows, dtype=np.int64)
+    first = np.zeros((rows, width), dtype=np.int64, order="F")
+    live = np.arange(rows)
+    # int32 state moves half the bytes of int64 through each division and
+    # gather.  A count fits int8: by Lame's bound a row below 2^31 has at
+    # most 45 digits.
+    q, p = den.astype(np.int32), num.astype(np.int32)
+    count = np.zeros(rows, dtype=np.int8)
+    reg = [np.zeros(rows, dtype=np.int32) for _ in range(k - 1)]
+    col = 0
+    while len(live):
+        a, r = np.divmod(q, p)
+        end = r == 0
+        stop = np.flatnonzero(end)
+        if long_tail:
+            a[stop] -= 1
+        if col < width:
+            first[live, col] = a
+        if k and col >= k - 1:
+            count += _window_hits(reg + [a], s_digits)
+        if len(stop):
+            done = live.take(stop)
+            if long_tail and col + 1 < width:
+                first[done, col + 1] = 1
+            lengths[done] = col + 1 + long_tail
+            if k:
+                tail = count.take(stop)
+                if long_tail and col >= k - 2:
+                    tail += _window_hits([x.take(stop) for x in reg[1:]]
+                                         + [a.take(stop), 1][-k:], s_digits)
+                counts[done] = tail
+                gcd[done] = p.take(stop)
+        if k > 1:
+            reg = reg[1:] + [a]
+        if len(stop):
+            going = np.flatnonzero(~end)
+            live = live.take(going)
+            q, p = p.take(going), r.take(going)
+            if k:
+                count = count.take(going)
+            reg = [x.take(going) for x in reg]
+        else:
+            q, p = p, r
+        col += 1
+    return lengths, counts, first, gcd
+
+
 def digit_matrix(num: np.ndarray, den: np.ndarray,
                  convention: Convention = Convention.LONG
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +199,10 @@ def digit_matrix(num: np.ndarray, den: np.ndarray,
     quotients are those of the reduced value.
 
     Returns (matrix, lengths): matrix[i, :lengths[i]] are the digits of row i
-    and the padding is zero.  Runs the Euclidean algorithm across all rows in
-    lockstep, which is what makes million-digit streams cheap in Python.
-    Each column works on the rows still running only: their row numbers and
-    remainders are compacted as rows finish.  The matrix is column-major,
-    because this loop and the census pattern counters walk it by column.
+    and the padding is zero.  The matrix is int64, column-major and as wide
+    as the longest expansion a denominator of the block can have; the digits
+    come from the lockstep Euclid _euclid_counts, so every denominator must
+    lie below 2^31 (OverflowError otherwise).
     """
     num = np.asarray(num, dtype=np.int64)
     den = np.asarray(den, dtype=np.int64)
@@ -128,28 +210,8 @@ def digit_matrix(num: np.ndarray, den: np.ndarray,
         raise ValueError("num and den must have the same shape")
     if len(num) and (np.any(num < 1) or np.any(num >= den)):
         raise ValueError("need 0 < num < den rowwise")
-    p, q = num, den
-    rows = len(p)
-    width = _max_expansion_length(int(den.max()) if rows else 2, convention)
-    mat = np.zeros((rows, width), dtype=np.int64, order="F")
-    lengths = np.zeros(rows, dtype=np.int64)
-    live = np.arange(rows)
-    col = 0
-    while len(live):
-        a, r = np.divmod(q, p)
-        mat[live, col] = a
-        col += 1
-        going = r > 0
-        lengths[live[~going]] = col
-        live = live[going]
-        q = p[going]
-        p = r[going]
-    if convention is Convention.LONG:
-        idx = np.arange(rows)
-        last = lengths - 1
-        mat[idx, last] -= 1
-        mat[idx, last + 1] = 1
-        lengths += 1
+    width = _max_expansion_length(int(den.max()) if len(den) else 2, convention)
+    lengths, _, mat, _ = _euclid_counts(num, den, (), convention, width)
     return mat, lengths
 
 

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from cfnormal import census
+from cfnormal import census, streams
 from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
                              GaussDigitSampler, NormalityParams,
                              _block_occurrences, _classify_block,
@@ -16,7 +16,7 @@ from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
                              estimate_measure, gamma_census,
                              gamma_prime_contains, gamma_prime_q_bounds,
                              in_E_set, in_F_set, in_gamma,
-                             is_eps_s_normal, mc_growth_rate, merge_estimates,
+                             is_eps_s_normal, mc_growth_rate,
                              n_delta, resolve_threads, run_census)
 from cfnormal.core import Convention, Rational, cf_digits, expand
 from cfnormal.enumeration import SequenceKind, count_R, enumerate_R, members_block
@@ -75,7 +75,6 @@ class TestRunCensus:
         report = run_census(ALL, 5, p)
         assert (report.total, report.abnormal) == (9, 0)
         assert report.ratio == 0.0
-        assert report.den_range == (2, 5)
         doc = report.to_json_dict()
         assert doc["params"]["den_range"] == [2, 5]
         assert "wall_time" not in doc
@@ -85,27 +84,6 @@ class TestRunCensus:
         p = NormalityParams(0.9, Pattern((1,)))
         row = run_census(ALL, 5, p).to_csv_row()
         assert row == "5,all,0.9,1,9,0,0.0"
-
-    def test_merge_partitions(self):
-        p = NormalityParams(0.25, Pattern((1,)))
-        full = run_census(ALL, 100, p)
-        lo = run_census(ALL, 100, p, den_range=(2, 50))
-        hi = run_census(ALL, 100, p, den_range=(51, 100))
-        merged = lo.merge(hi)
-        assert (merged.total, merged.abnormal) == (full.total, full.abnormal)
-        assert merged.den_range == (2, 100)
-        assert hi.merge(lo).total == merged.total   # order insensitive
-
-    def test_merge_rejects_mismatch(self):
-        p = NormalityParams(0.25, Pattern((1,)))
-        a = run_census(ALL, 100, p, den_range=(2, 60))
-        b = run_census(ALL, 100, p, den_range=(60, 100))
-        with pytest.raises(ValueError):
-            a.merge(b)   # both cover den 60
-        c = run_census(ALL, 100, NormalityParams(0.3, Pattern((1,))),
-                       den_range=(61, 100))
-        with pytest.raises(ValueError):
-            a.merge(c)
 
     def test_thread_fanout_agrees(self):
         # m large enough to split into several denominator chunks
@@ -119,8 +97,6 @@ class TestRunCensus:
         p = NormalityParams(0.25, Pattern((1,)))
         with pytest.raises(ValueError):
             run_census(ALL, 2, p)
-        with pytest.raises(ValueError):
-            run_census(ALL, 100, p, den_range=(1, 100))
         with pytest.raises(ResourceLimitError):
             run_census(ALL, 35000, p)
 
@@ -129,6 +105,15 @@ class TestRunCensus:
         assert resolve_threads() >= 1
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+    def test_resolve_threads_checks_the_environment(self, monkeypatch):
+        monkeypatch.setenv("CFNORMAL_THREADS", "3")
+        assert resolve_threads() == 3
+        assert resolve_threads(2) == 2      # an explicit value wins
+        for bad in ("0", "-3", "abc", "2.5"):
+            monkeypatch.setenv("CFNORMAL_THREADS", bad)
+            with pytest.raises(ValueError, match="CFNORMAL_THREADS"):
+                resolve_threads()
 
 
 KERNEL_PATTERNS = [(1,), (2,), (1, 1), (1, 2), (2, 1, 1), (3,)]
@@ -144,31 +129,43 @@ def _oracle_block(num, den, p):
     return len(num), int(len(num) - normal.sum())
 
 
+def _scalar_count(digits, s):
+    k = len(s)
+    return sum(tuple(digits[i:i + k]) == s for i in range(len(digits) - k + 1))
+
+
 class TestCensusKernel:
-    """The fused Euclid-and-count kernel against the digit matrix."""
+    """The fused Euclid-and-count kernel against the scalar Euclid."""
 
     @pytest.mark.parametrize("kind", list(SequenceKind))
     @pytest.mark.parametrize("conv", list(Convention))
-    def test_rows_match_digit_matrix(self, kind, conv):
-        num, den = members_block(kind, 2, 601)
-        mat, lengths = digit_matrix(num, den, conv)
+    def test_rows_match_cf_digits(self, kind, conv):
+        num, den = members_block(kind, 2, 201)
+        digits = [cf_digits(int(n), int(d), conv) for n, d in zip(num, den)]
+        lengths = [len(o) for o in digits]
+        mat, mat_len = digit_matrix(num, den, conv)
+        assert mat_len.tolist() == lengths
+        assert mat.tolist() == [o + [0] * (mat.shape[1] - len(o))
+                                for o in digits]
         for s in KERNEL_PATTERNS:
-            got_len, got_count, got_first, got_gcd = _euclid_counts(
-                num, den, s, conv)
-            assert np.array_equal(got_len, lengths)
-            assert np.array_equal(got_count,
-                                  _block_occurrences(mat, lengths, s))
-            assert np.array_equal(got_first, mat[:, :len(s)])
-            assert np.array_equal(got_gcd, np.gcd(num, den))
+            counts = [_scalar_count(o, s) for o in digits]
+            for width in (len(s), 7):
+                got_len, got_count, got_first, got_gcd = _euclid_counts(
+                    num, den, s, conv, width)
+                assert got_len.tolist() == lengths
+                assert got_count.tolist() == counts
+                assert got_first.tolist() == [(o + [0] * width)[:width]
+                                              for o in digits]
+                assert np.array_equal(got_gcd, np.gcd(num, den))
 
     def test_short_rows_pad_their_first_digits(self):
         # under LONG, 1/2 is (1, 1) and 1/3 is (2, 1), both shorter than s;
         # under SHORT, 2/4 is (2) and its gcd 2
         _, _, first, _ = _euclid_counts(np.array([1, 1]), np.array([2, 3]),
-                                        (1, 1, 1), Convention.LONG)
+                                        (1, 1, 1), Convention.LONG, 3)
         assert first.tolist() == [[1, 1, 0], [2, 1, 0]]
         lengths, _, first, gcd = _euclid_counts(
-            np.array([2]), np.array([4]), (2, 1), Convention.SHORT)
+            np.array([2]), np.array([4]), (2, 1), Convention.SHORT, 2)
         assert (lengths.tolist(), first.tolist(), gcd.tolist()) == (
             [1], [[2, 0]], [2])
 
@@ -179,7 +176,8 @@ class TestCensusKernel:
         num = np.array([1134903170, 1, top - 1, 12345])
         den = np.array([1836311903, top, top, top])
         for conv in Convention:
-            lengths, counts, first, gcd = _euclid_counts(num, den, (1,), conv)
+            lengths, counts, first, gcd = _euclid_counts(num, den, (1,), conv,
+                                                         1)
             digits = [cf_digits(int(n), int(d), conv)
                       for n, d in zip(num, den)]
             assert lengths.tolist() == [len(o) for o in digits]
@@ -188,7 +186,7 @@ class TestCensusKernel:
             assert gcd.tolist() == [1, 1, 1, 1]
         with pytest.raises(OverflowError):
             _euclid_counts(np.array([1]), np.array([2 ** 31]), (1,),
-                           Convention.LONG)
+                           Convention.LONG, 1)
 
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_classify_block_matches_oracle(self, kind):
@@ -207,7 +205,7 @@ class TestCensusKernel:
 
         def refuse(*args, **kwargs):
             raise AssertionError("the census kernel called a refused helper")
-        monkeypatch.setattr(census, "digit_matrix", refuse)
+        monkeypatch.setattr(streams, "digit_matrix", refuse)
         monkeypatch.setattr(census, "_block_occurrences", refuse)
         monkeypatch.setattr(census.np, "gcd", refuse)
         p = NormalityParams(0.25, Pattern((1,)))
@@ -226,7 +224,7 @@ class TestCensusKernel:
         # m = 2100 spans two denominator chunks; the oracle walks blocks of
         # 100 denominators to keep its digit matrices small
         m = 2100
-        assert len(list(_den_chunks(2, m))) == 2
+        assert len(list(_den_chunks(m))) == 2
         p = NormalityParams(0.25, Pattern(s), conv)
         rows = bad = 0
         for lo in range(2, m + 1, 100):
@@ -267,7 +265,7 @@ class TestMirror:
             == ([2] if conv is Convention.SHORT else [1, 1])
         for num, den in ((1, 2), (2, 4), (3, 6)):
             lengths, _, _, gcd = _euclid_counts(
-                np.array([num]), np.array([den]), (1,), conv)
+                np.array([num]), np.array([den]), (1,), conv, 1)
             assert (lengths[0], den // gcd[0]) == (len(cf_digits(1, 2, conv)), 2)
 
     def test_self_mirrored_rows_count_once(self):
@@ -325,6 +323,25 @@ class TestGamma:
                   for a, b in zip(num, den)]
         assert flags.tolist() == scalar
         assert (len(num), int(flags.sum())) == (27397, 24975)
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    @pytest.mark.parametrize("s", [(1,), (1, 2), (1, 1, 1, 1, 1)])
+    def test_block_matches_scalar_for_each_pattern(self, conv, s):
+        # n = 4 here, so (1, 1, 1, 1, 1) has no window inside the prefix
+        gp = GammaParams(1000, 0.1, 0.1, Pattern(s))
+        num, den = members_block(ALL, 2, 151)
+        flags = _gamma_block(num, den, gp, conv)
+        assert flags.tolist() == [in_gamma(Rational(int(a), int(b)), gp, conv)
+                                  for a, b in zip(num, den)]
+
+    def test_census_builds_no_digit_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gamma_census built a digit matrix")
+        # census must not hold a name of its own for digit_matrix either
+        for module in (streams, census):
+            monkeypatch.setattr(module, "digit_matrix", refuse, raising=False)
+        small = gamma_census(self.GP)
+        assert (small.total, small.members) == (304191, 285542)
 
     def test_census_refused_above_the_row_limit(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -662,17 +679,6 @@ class TestEstimateMeasure:
             estimate_measure(lambda digits: digits == 1, depth=5,
                              n_samples=2000)
 
-    def test_merge_pools_counts(self):
-        pred = lambda digits: digits[:, 0] == 1
-        parts = [estimate_measure(pred, depth=3, n_samples=4000, seed=s)
-                 for s in (1, 2, 3)]
-        merged = merge_estimates(parts)
-        assert merged.n_samples == 12000
-        assert merged.hits == sum(p.hits for p in parts)
-        assert merged.estimate == merged.hits / 12000
-        with pytest.raises(ValueError):
-            merge_estimates([])
-
 
 def test_mc_growth_rate_domain():
     for depth in (0, -5):
@@ -818,3 +824,9 @@ class TestPinnedOutputs:
                             Convention.LONG)
         assert (short.total, short.members) == (1216587, 1153827)
         assert (long.total, long.members) == (1216587, 987227)
+
+    def test_gamma_census_pattern_longer_than_n(self):
+        # s has five digits and n = 4: no window fits in the prefix
+        g = gamma_census(GammaParams(1000, 0.1, 0.1, (1, 1, 1, 1, 1)),
+                         Convention.SHORT)
+        assert (g.total, g.members) == (304191, 260274)

@@ -1,5 +1,6 @@
 """Command line surface: outputs, schemas, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -251,6 +252,15 @@ class TestCensus:
         assert out == ("m,kind,eps,s,total,abnormal,ratio\n"
                        "5,all,0.9,1,9,0,0.0\n")
 
+    def test_csv_quotes_a_multi_digit_pattern(self, capsys):
+        out = run_ok(capsys, ["census", "--kind", "all", "-m", "50",
+                              "--eps", "0.25", "--s", "1,2", "--format", "csv",
+                              "--threads", "1"]).out
+        header, row = csv.reader(out.splitlines())
+        assert len(row) == len(header) == 7
+        assert dict(zip(header, row))["s"] == "1,2"
+        assert row[:5] == ["50", "all", "0.25", "1,2", "773"]
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:
@@ -334,6 +344,13 @@ class TestExitCodes:
         assert main(["constants", "--out",
                      str(tmp_path / "no" / "such" / "dir.json")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_bad_thread_variable(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("CFNORMAL_THREADS", value)
+        assert main(["census", "--kind", "all", "-m", "50",
+                     "--eps", "0.25"]) == 2
+        assert "CFNORMAL_THREADS" in capsys.readouterr().err
 
     def test_resource_guard(self, capsys):
         assert main(["census", "--kind", "all", "-m", "40000",

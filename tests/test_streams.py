@@ -138,6 +138,13 @@ class TestVectorizedGeneration:
         with pytest.raises(ValueError):
             digit_matrix(np.array([2]), np.array([2]))
 
+    def test_digit_matrix_needs_denominators_below_two_to_the_31(self):
+        top = 2 ** 31 - 1
+        mat, lengths = digit_matrix(np.array([1]), np.array([top]))
+        assert mat[0, :lengths[0]].tolist() == [top - 1, 1]
+        with pytest.raises(OverflowError):
+            digit_matrix(np.array([1]), np.array([2 ** 31]))
+
     @pytest.mark.parametrize("kind, conv, n", [
         (SequenceKind.ALL_WITH_DUPLICATES, Convention.SHORT, 10 ** 6),
         (SequenceKind.TYPE3, Convention.LONG, 10 ** 5),
