@@ -75,6 +75,7 @@ from .streams import (
     count_patterns,
     digit_block,
     hypothesis_ratios,
+    iter_digit_blocks,
     normality_report,
 )
 

@@ -8,10 +8,14 @@ ahead.
 
 Two independent Euclid paths read the same members_block rows: a scalar
 per-rational stream (DigitStream), the oracle, and a vectorized block
-generator (digit_block) that runs the Euclidean algorithm across whole
+generator (iter_digit_blocks) that runs the Euclidean algorithm across whole
 denominator ranges at once.  They must agree digit for digit; tests hold
 them to that.  The vectorized side is one int32 kernel, _euclid_counts,
-which digit_matrix and the census classifiers in census.py share.
+which writes each block's digits flat, with no padded matrix, and which
+digit_matrix and the census classifiers in census.py share.  A block holds
+at most BLOCK_PAIR_CAP member pairs, and normality_report and the stream
+commands of the command line read one block at a time, so their memory
+does not grow with the number of digits.
 """
 
 from __future__ import annotations
@@ -121,28 +125,38 @@ def _window_hits(window: Sequence, s_digits: tuple[int, ...]):
 
 def _euclid_counts(num: np.ndarray, den: np.ndarray,
                    s_digits: tuple[int, ...], convention: Convention,
-                   width: int
+                   width: Optional[int]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(lengths, counts of s, first width digits, gcd) of each row num/den.
+    """(lengths, counts of s, digits, gcd) of each row num/den.
 
-    The package's one vectorised Euclid: digit_matrix, the census and the
-    Gamma census all run on it.  The Euclidean algorithm steps all rows in
-    lockstep, one column at a time, over the rows still running; their row
-    numbers and remainders are compacted as rows finish.  Each live row
-    carries its count of s and a shift register of its last k-1 digits, and
-    a window is counted when its last digit arrives.  A row's final quotient
-    a is one digit under SHORT and the two digits (a-1, 1) under LONG.
-    Unreduced pairs give the digits of their lowest terms, and the last
-    divisor of each row is its gcd.  first holds the leading `width` digits
-    of each row, column-major and zero past lengths[i].  With s empty only
-    lengths and first are written; counts and gcd come back uninitialised.
-    The Euclid state is int32, so every denominator must lie below 2^31.
+    The package's one vectorised Euclid: digit_matrix, the block stream, the
+    census and the Gamma census all run on it.  The Euclidean algorithm
+    steps all rows in lockstep, one column at a time, over the rows still
+    running; their row numbers and remainders are compacted as rows finish.
+    Each live row carries its count of s and a shift register of its last
+    k-1 digits, and a window is counted when its last digit arrives.  A
+    row's final quotient a is one digit under SHORT and the two digits
+    (a-1, 1) under LONG.  Unreduced pairs give the digits of their lowest
+    terms, and the last divisor of each row is its gcd.
+
+    With an int `width`, digits holds the leading `width` digits of each
+    row, column-major and zero past lengths[i].  With width None it is flat:
+    every digit of row 0, then of row 1, and so on.  The loop then keeps
+    each column's live row numbers and quotients, arrays it allocates
+    anyway, and scatters them once at the end to start[row] + column.  With
+    s empty only lengths and digits are written; counts and gcd come back
+    uninitialised.  The Euclid state is int32, so every denominator must lie
+    below 2^31.
     """
     k = len(s_digits)
     rows = len(num)
     if rows and int(den.max()) >= 2 ** 31:
         raise OverflowError("the Euclid kernel needs denominators below 2^31")
     long_tail = convention is Convention.LONG
+    flat = width is None
+    if flat:
+        width = 0  # no leading columns: every digit is scattered at the end
+    columns: list[tuple[np.ndarray, np.ndarray]] = []  # (live, a) per column
     lengths = np.empty(rows, dtype=np.int64)
     counts = np.empty(rows, dtype=np.int64)
     gcd = np.empty(rows, dtype=np.int64)
@@ -161,7 +175,9 @@ def _euclid_counts(num: np.ndarray, den: np.ndarray,
         stop = np.flatnonzero(end)
         if long_tail:
             a[stop] -= 1
-        if col < width:
+        if flat:
+            columns.append((live, a))
+        elif col < width:
             first[live, col] = a
         if k and col >= k - 1:
             count += _window_hits(reg + [a], s_digits)
@@ -189,7 +205,27 @@ def _euclid_counts(num: np.ndarray, den: np.ndarray,
         else:
             q, p = p, r
         col += 1
+    if flat:
+        ends = np.cumsum(lengths)
+        first = np.empty(int(ends[-1]) if rows else 0, dtype=np.int64)
+        start = ends - lengths
+        # last column first, so each column's arrays are freed once written
+        while columns:
+            done, a = columns.pop()
+            first[start.take(done) + len(columns)] = a
+        if long_tail:
+            first[ends - 1] = 1
     return lengths, counts, first, gcd
+
+
+def _checked_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
+    num = np.asarray(num, dtype=np.int64)
+    den = np.asarray(den, dtype=np.int64)
+    if num.shape != den.shape:
+        raise ValueError("num and den must have the same shape")
+    if len(num) and (np.any(num < 1) or np.any(num >= den)):
+        raise ValueError("need 0 < num < den rowwise")
+    return num, den
 
 
 def digit_matrix(num: np.ndarray, den: np.ndarray,
@@ -204,15 +240,24 @@ def digit_matrix(num: np.ndarray, den: np.ndarray,
     come from the lockstep Euclid _euclid_counts, so every denominator must
     lie below 2^31 (OverflowError otherwise).
     """
-    num = np.asarray(num, dtype=np.int64)
-    den = np.asarray(den, dtype=np.int64)
-    if num.shape != den.shape:
-        raise ValueError("num and den must have the same shape")
-    if len(num) and (np.any(num < 1) or np.any(num >= den)):
-        raise ValueError("need 0 < num < den rowwise")
+    num, den = _checked_rows(num, den)
     width = _max_expansion_length(int(den.max()) if len(den) else 2, convention)
     lengths, _, mat, _ = _euclid_counts(num, den, (), convention, width)
     return mat, lengths
+
+
+def flat_digits(num: np.ndarray, den: np.ndarray,
+                convention: Convention = Convention.LONG
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, lengths): the continued fraction digits of every row num/den
+    concatenated in row order as int64, and each row's digit count.
+
+    The same digits as flatten_digit_matrix(*digit_matrix(...)), written
+    straight from the lockstep Euclid with no padded matrix between.
+    """
+    num, den = _checked_rows(num, den)
+    lengths, _, digits, _ = _euclid_counts(num, den, (), convention, None)
+    return digits, lengths
 
 
 def flatten_digit_matrix(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -227,8 +272,9 @@ def flatten_digit_matrix(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 HEILBRONN_PORTER = 12.0 * math.log(2.0) / math.pi ** 2
 PORTER_CONSTANT = 1.4670780794
 
-#: most member pairs in one digit_block block; bounds its digit matrix
-BLOCK_PAIR_CAP = 1 << 19
+#: most member pairs in one block of iter_digit_blocks; bounds the digits,
+#: and so the memory, that one block holds at once
+BLOCK_PAIR_CAP = 1 << 16
 
 
 def _mean_expansion_length(den: int, convention: Convention) -> float:
@@ -244,9 +290,10 @@ def _block_top(d_lo: int, digits: int, per_pair: float, density: float) -> int:
     return max(d_lo + 1, math.isqrt(d_lo * d_lo + int(2.0 * pairs / density)))
 
 
-def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
-                ) -> np.ndarray:
-    """First n_digits of the kind's stream as an int64 array (vectorized).
+def iter_digit_blocks(kind: SequenceKind, convention: Convention,
+                      n_digits: int) -> Iterator[np.ndarray]:
+    """The first n_digits of the kind's stream, as consecutive non-empty
+    int64 blocks of the digits of one denominator range each.
 
     Plans each denominator block [d_lo, d_hi) to hold the digits still
     missing, so only the last block computes digits that are cut off.  A
@@ -257,11 +304,12 @@ def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
     later block takes the density that the block before it produced, and
     the digits per pair it produced scaled by the growth of that mean from
     its top denominator to the new one, since expansions lengthen with the
-    denominator.  No block holds more than BLOCK_PAIR_CAP pairs.
+    denominator.  No block holds more than BLOCK_PAIR_CAP pairs, so a
+    consumer that reads one block at a time holds bounded memory for any
+    n_digits.
     """
     if n_digits < 0:
         raise ValueError("n_digits must be >= 0")
-    chunks: list[np.ndarray] = []
     have = 0
     d_lo = 2
     density = 1.0
@@ -275,16 +323,22 @@ def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
             d_hi = _block_top(d_lo, missing, per_pair, density)
         num, den = members_block(kind, d_lo, d_hi)
         if len(num):
-            mat, lengths = digit_matrix(num, den, convention)
-            flat = flatten_digit_matrix(mat, lengths)
-            chunks.append(flat)
-            have += len(flat)
-            scale = len(flat) / len(num) / _mean_expansion_length(d_hi, convention)
+            digits, _ = flat_digits(num, den, convention)
+            have += len(digits)
+            scale = len(digits) / len(num) / _mean_expansion_length(d_hi, convention)
             density = 2.0 * len(num) / (d_hi * d_hi - d_lo * d_lo)
+            del num, den
+            yield digits[:missing]
+            del digits  # the consumer may free it before the next block
         d_lo = d_hi
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)[:n_digits]
+
+
+def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
+                ) -> np.ndarray:
+    """First n_digits of the kind's stream as one int64 array: the blocks of
+    iter_digit_blocks concatenated."""
+    return np.concatenate([np.empty(0, dtype=np.int64),
+                           *iter_digit_blocks(kind, convention, n_digits)])
 
 
 class FrequencyTracker:
@@ -411,8 +465,8 @@ def count_pattern_array(digits: np.ndarray, s: Union[Pattern, Sequence[int]],
     return int(match.sum())
 
 
-#: GrowthTracker.update_many works through GROWTH_CHUNK digits at a time, so
-#: its scratch memory is bounded.  Each chunk runs the ratio recurrence in up
+#: GrowthTracker.update_many and GridCounter.feed work through GROWTH_CHUNK
+#: digits at a time, so their scratch memory is bounded.  Each chunk runs the ratio recurrence in up
 #: to GROWTH_LANES lanes, each started GROWTH_WARMUP digits early from r = 0.
 GROWTH_CHUNK = 1 << 16
 GROWTH_LANES = 256
@@ -644,6 +698,68 @@ class GrowthTracker:
         return self.logq / self.n
 
 
+class GridCounter:
+    """A_s(c) of every pattern s = pattern_grid(max_digit, max_len) at each
+    prefix c, over a stream fed block by block.
+
+    A window of length j over digits 1..max_digit has the code
+    sum_i (d_i - 1) max_digit^(j-1-i), which is its pattern's index among
+    the length-j patterns of pattern_grid, so one bincount per length and
+    prefix counts every pattern at once.  A window holding a digit above
+    max_digit matches no pattern and is dropped.  Windows starting in the
+    last max_len - 1 digits of a block read into the next one, so those
+    digits are carried over.  counts[c] lists the counts in pattern_grid
+    order once the stream has passed c + max_len - 1 digits.
+    """
+
+    def __init__(self, max_digit: int, max_len: int, prefixes: Iterable[int]):
+        """prefixes: the positions c >= 1 to count at, at least one."""
+        self.max_digit = max_digit
+        self.max_len = max_len
+        self.prefixes = sorted(set(prefixes))
+        self.counts: dict[int, np.ndarray] = {}
+        self._totals = [np.zeros(max_digit ** j, dtype=np.int64)
+                        for j in range(1, max_len + 1)]
+        self._carry = np.empty(0, dtype=np.int64)  # symbols of unread starts
+        self._starts = 0  # window starts counted so far
+
+    def feed(self, digits: np.ndarray) -> None:
+        """Count the windows that these digits complete, GROWTH_CHUNK digits
+        at a time, so the scratch arrays stay small for any block."""
+        for lo in range(0, len(digits), GROWTH_CHUNK):
+            self._feed(digits[lo:lo + GROWTH_CHUNK])
+
+    def _feed(self, digits: np.ndarray) -> None:
+        md, k = self.max_digit, self.max_len
+        if self._starts == self.prefixes[-1]:
+            return  # every prefix is counted
+        # symbol d - 1, and md for any digit above md
+        sym = np.concatenate((self._carry, np.minimum(digits, md + 1) - 1))
+        stop = min(len(sym) - (k - 1), self.prefixes[-1] - self._starts)
+        if stop <= 0:
+            self._carry = sym  # fewer than max_len digits so far
+            return
+        cuts = [c - self._starts for c in self.prefixes
+                if self._starts < c < self._starts + stop] + [stop]
+        in_grid = sym < md
+        code = np.zeros(stop, dtype=np.int64)
+        valid = np.ones(stop, dtype=bool)
+        parts = []  # parts[j][i]: length j + 1 counts of the i-th segment
+        for j in range(k):
+            code = code * md + sym[j:j + stop]
+            valid &= in_grid[j:j + stop]
+            parts.append([np.bincount(code[lo:hi][valid[lo:hi]],
+                                      minlength=md ** (j + 1))
+                          for lo, hi in zip([0] + cuts, cuts)])
+        for i, cut in enumerate(cuts):
+            for total, part in zip(self._totals, parts):
+                total += part[i]
+            if self._starts + cut in self.prefixes:
+                self.counts[self._starts + cut] = np.concatenate(self._totals)
+        self._starts += stop
+        self._carry = sym[stop:].copy()
+
+
 @dataclass
 class PatternRow:
     pattern: Pattern
@@ -695,11 +811,10 @@ class NormalityReport:
         return doc
 
 
-def _pattern_rows(digits: np.ndarray, patterns: Sequence[Pattern],
+def _pattern_rows(counts: np.ndarray, patterns: Sequence[Pattern],
                   n: int) -> list[PatternRow]:
     rows = []
-    for pat in patterns:
-        count = count_pattern_array(digits, pat, n)
+    for pat, count in zip(patterns, counts.tolist()):
         mu = gauss_measure(pat)
         empirical = count / n
         rows.append(PatternRow(pattern=pat, count=count, n=n,
@@ -715,6 +830,8 @@ def normality_report(kind: SequenceKind, convention: Convention, n: int,
 
     Counts every pattern over digits 1..max_digit of length <= max_len against
     its Gauss measure, and runs the growth tracker over the same digits.
+    Both read the stream one block of iter_digit_blocks at a time, so the
+    memory held does not grow with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -726,11 +843,12 @@ def normality_report(kind: SequenceKind, convention: Convention, n: int,
         if not 1 <= c <= n:
             raise ValueError(f"checkpoint {c} outside 1..{n}")
     patterns = pattern_grid(max_digit, max_len)
-    digits = digit_block(kind, convention, n + max_len - 1)
-    rows = _pattern_rows(digits, patterns, n)
-
+    counter = GridCounter(max_digit, max_len, (*checkpoints, n))
     tracker = GrowthTracker()
-    tracker.update_many(digits[:n])
+    for block in iter_digit_blocks(kind, convention, n + max_len - 1):
+        counter.feed(block)
+        tracker.update_many(block[:n - tracker.n])
+        del block  # freed before the next block is computed
 
     report = NormalityReport(
         params={
@@ -740,11 +858,11 @@ def normality_report(kind: SequenceKind, convention: Convention, n: int,
             "max_digit": max_digit,
             "max_len": max_len,
         },
-        rows=rows,
+        rows=_pattern_rows(counter.counts[n], patterns, n),
         growth=GrowthSummary(logq=tracker.logq, n=tracker.n),
     )
     for c in checkpoints:
-        report.checkpoints[c] = _pattern_rows(digits, patterns, c)
+        report.checkpoints[c] = _pattern_rows(counter.counts[c], patterns, c)
     return report
 
 

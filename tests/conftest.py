@@ -6,6 +6,8 @@ ladder, and the Monte Carlo decay run are computed once no matter how many
 tests consume them.
 """
 
+import subprocess
+import sys
 import time
 
 import pytest
@@ -75,3 +77,33 @@ def ef_report():
 @pytest.fixture(scope="session")
 def growth_mc():
     return mc_growth_rate(depth=100, n_samples=10 ** 4, seed=7)
+
+
+#: runs argv[1:] as a child and prints its exit code and peak RSS in KiB,
+#: then the child's stdout
+_LAUNCHER = ("import resource, subprocess, sys\n"
+             "run = subprocess.run(sys.argv[1:], capture_output=True)\n"
+             "peak = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+             "print(run.returncode, peak.ru_maxrss)\n"
+             "sys.stdout.write(run.stdout.decode())\n")
+
+
+def run_cli_with_peak(argv):
+    """(exit code, stdout, peak RSS in MB) of `python -m cfnormal.cli argv`.
+
+    A child's ru_maxrss starts from its parent's resident size at the fork,
+    so a small launcher interpreter, not the test process, starts the
+    command and reads its peak.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m",
+         "cfnormal.cli", *argv], capture_output=True, text=True, check=True)
+    status, out = proc.stdout.split("\n", 1)
+    code, peak_kib = map(int, status.split())
+    return code, out, peak_kib / 1024   # ru_maxrss is in KiB on Linux
+
+
+@pytest.fixture(scope="session")
+def cli_peak():
+    """run_cli_with_peak, for tests that measure a command's own memory."""
+    return run_cli_with_peak

@@ -1,6 +1,7 @@
 """Command line surface: outputs, schemas, exit codes."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,11 +12,13 @@ import jsonschema
 import numpy as np
 import pytest
 
+from cfnormal import cli
 from cfnormal.cli import _emit_digits, build_parser, main
 from cfnormal.core import Convention
 from cfnormal.enumeration import SequenceKind
 from cfnormal.sieves import pi_prime_joint, pi_prime_linear
-from cfnormal.streams import DigitStream, decode_varints, hypothesis_ratios
+from cfnormal.streams import (DigitStream, decode_varints, digit_block,
+                              hypothesis_ratios, iter_digit_blocks)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -92,6 +95,67 @@ class TestStream:
         out = run_ok(capsys, ["stream", "--kind", "type2", "-n", "5000"]).out
         digits = DigitStream(SequenceKind.TYPE2).take(5000)
         assert out == " ".join(str(d) for d in digits)
+
+
+class TestStreamBlocks:
+    """stream writes the digits block by block; the bytes must be those of
+    the whole array dumped at once, across every block boundary."""
+
+    FORMATS = [[], ["--varint"], ["--header"], ["--varint", "--header"]]
+
+    @pytest.mark.parametrize("extra", FORMATS)
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_equals_one_dump_of_the_whole_array(self, conv, extra, tmp_path,
+                                                capsysbinary):
+        kind = SequenceKind.ALL_WITH_DUPLICATES
+        first = len(next(iter_digit_blocks(kind, conv, 200000)))
+        assert len(list(iter_digit_blocks(kind, conv, 200000))) >= 2
+        for n in (0, 1, 2, first - 1, first, first + 1, 200000):
+            argv = ["stream", "--kind", kind.value, "--conv", conv.value,
+                    "-n", str(n)] + extra
+            want = tmp_path / "want"
+            _emit_digits(digit_block(kind, conv, n), kind,
+                         build_parser().parse_args(argv + ["--out", str(want)]))
+            assert main(argv) == 0
+            assert capsysbinary.readouterr().out == want.read_bytes(), n
+            got = tmp_path / "got"
+            assert main(argv + ["--out", str(got)]) == 0
+            assert got.read_bytes() == want.read_bytes(), n
+
+    def test_zero_digits_truncate_the_out_file(self, tmp_path, capsys):
+        target = tmp_path / "digits.txt"
+        for extra, want in (([], b""), (["--header"],
+                                        b"cfdigits v1 kind=all conv=long\n")):
+            target.write_bytes(b"stale")
+            run_ok(capsys, ["stream", "--kind", "all", "-n", "0",
+                            "--out", str(target)] + extra)
+            assert target.read_bytes() == want
+
+    def test_unwritable_out_fails_before_any_digit(self, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_digits(*args):
+            raise AssertionError("digits computed before --out was opened")
+
+        monkeypatch.setattr(cli, "iter_digit_blocks", no_digits)
+        target = tmp_path / "no" / "such" / "digits.bin"
+        assert main(["stream", "--kind", "all", "-n", str(10 ** 9),
+                     "--varint", "--out", str(target)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_peak_memory_does_not_grow_with_n(self, cli_peak, tmp_path):
+        # the whole-array stream peaked at 122 MB for 3e6 digits and 290 MB
+        # for 1.2e7; one block at a time holds the same memory for both
+        target = tmp_path / "digits.bin"
+        peaks = []
+        for n in (3 * 10 ** 6, 12 * 10 ** 6):
+            code, _, peak_mb = cli_peak(
+                ["stream", "--kind", "aks-dup", "--conv", "short", "-n",
+                 str(n), "--varint", "--out", str(target)])
+            assert code == 0
+            peaks.append(peak_mb)
+        assert peaks[1] < 1.2 * peaks[0], (
+            f"stream peak RSS {peaks[0]:.1f} MB at 3e6 digits, "
+            f"{peaks[1]:.1f} MB at 1.2e7")
 
 
 class TestEmitDigits:
@@ -234,6 +298,36 @@ class TestStats:
                             "--out", str(p)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    # sha256 of the stdout of the whole-array report, before stats read its
+    # digits block by block; the checkpoints sit at and around the end of
+    # the first block, at stream positions 169080 (long) and 167098 (short)
+    @pytest.mark.parametrize("extra, sha256", [
+        (["--checkpoint", "169079", "--checkpoint", "169080",
+          "--checkpoint", "169081"],
+         "9bb6582f0dbd13e2cb9ec1d6804356dec22e2f7f451fadf5cdb7d17317d25511"),
+        (["--max-digit", "3", "--max-len", "3", "--conv", "short",
+          "--checkpoint", "167096", "--checkpoint", "167097",
+          "--checkpoint", "167098", "--checkpoint", "167099"],
+         "14895a9b11ff70685cb8fe195f1eb03ca3833d9fc71eea4e401c941d3ae4e73e"),
+    ])
+    def test_pinned_across_a_block_boundary(self, extra, sha256, capsys):
+        out = run_ok(capsys, ["stats", "--kind", "all", "-n", "300000"]
+                     + extra).out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_peak_memory_does_not_grow_with_n(self, cli_peak):
+        # the whole-array report peaked at 46.0 MB for 5e5 digits and
+        # 86.0 MB for 2e6
+        peaks = []
+        for n in (5 * 10 ** 5, 2 * 10 ** 6):
+            code, _, peak_mb = cli_peak(["stats", "--kind", "all",
+                                         "-n", str(n)])
+            assert code == 0
+            peaks.append(peak_mb)
+        assert peaks[1] < 1.2 * peaks[0], (
+            f"stats peak RSS {peaks[0]:.1f} MB at 5e5 digits, "
+            f"{peaks[1]:.1f} MB at 2e6")
+
 
 class TestCensus:
     def test_json_schema_and_wall_time(self, capsys):
@@ -270,27 +364,15 @@ class TestCensus:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-    def test_peak_memory_of_the_benchmark_census(self):
+    def test_peak_memory_of_the_benchmark_census(self, cli_peak):
         # the digit-matrix census reached about 306 MB here; the fused
-        # kernel holds one chunk of member pairs and no matrix.  A child's
-        # ru_maxrss starts from its parent's resident size at the fork, so a
-        # small interpreter runs the census and reports the peak.
-        launcher = ("import resource, subprocess, sys\n"
-                    "run = subprocess.run(sys.argv[1:], capture_output=True)\n"
-                    "peak = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-                    "print(run.returncode, peak.ru_maxrss)\n"
-                    "sys.stdout.write(run.stdout.decode())\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-m",
-             "cfnormal.cli", "census", "--kind", "all", "-m", "4096",
-             "--eps", "0.25", "--s", "1", "--threads", "1"],
-            capture_output=True, text=True, check=True)
-        status, out = proc.stdout.split("\n", 1)
-        code, peak_kib = map(int, status.split())
+        # kernel holds one chunk of member pairs and no matrix
+        code, out, peak_mb = cli_peak(
+            ["census", "--kind", "all", "-m", "4096", "--eps", "0.25",
+             "--s", "1", "--threads", "1"])
         assert code == 0
         doc = json.loads(out)
         assert (doc["total"], doc["abnormal"]) == (5100019, 2894863)
-        peak_mb = peak_kib / 1024   # ru_maxrss is in KiB on Linux
         assert peak_mb <= 200, f"census peak RSS {peak_mb:.0f} MB > 200 MB"
 
 

@@ -13,13 +13,14 @@ from cfnormal.census import continuant_den
 from cfnormal.core import Convention, expand
 from cfnormal.enumeration import SequenceKind, enumerate_R, members_block
 from cfnormal.errors import ResourceLimitError
-from cfnormal.measures import Pattern, gauss_measure
-from cfnormal.streams import (DigitStream, FrequencyTracker, GrowthTracker,
-                              count_pattern_array, count_patterns,
-                              decode_varints, digit_block,
+from cfnormal.measures import Pattern, gauss_measure, pattern_grid
+from cfnormal.streams import (DigitStream, FrequencyTracker, GridCounter,
+                              GrowthTracker, count_pattern_array,
+                              count_patterns, decode_varints, digit_block,
                               digit_matrix, encode_varint, encode_varints,
-                              flatten_digit_matrix, format_header,
-                              hypothesis_ratios, normality_report)
+                              flat_digits, flatten_digit_matrix,
+                              format_header, hypothesis_ratios,
+                              iter_digit_blocks, normality_report)
 
 AKS_PREFIX = [2, 3, 1, 2, 4, 2, 1, 3]
 ALL_PREFIX_15 = [2, 3, 1, 2, 4, 1, 3, 5, 2, 2, 1, 1, 2, 1, 4]
@@ -124,6 +125,33 @@ class TestVectorizedGeneration:
             assert np.array_equal(kmat[:, :width], mat)
             assert not kmat[:, width:].any()
 
+    @given(st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+                              st.integers(1, 50)), max_size=40))
+    def test_flat_digits_are_the_flattened_matrix(self, rows):
+        num = np.array([min(a, b) * k for a, b, k in rows], dtype=np.int64)
+        den = np.array([(max(a, b) + 1) * k for a, b, k in rows],
+                       dtype=np.int64)
+        for convention in Convention:
+            mat, lengths = digit_matrix(num, den, convention)
+            digits, flat_lengths = flat_digits(num, den, convention)
+            assert digits.dtype == np.int64
+            assert np.array_equal(flat_lengths, lengths)
+            assert np.array_equal(digits, flatten_digit_matrix(mat, lengths))
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_blocks_concatenate_to_the_request(self, conv):
+        kind = SequenceKind.SQUAREFREE_BOTH
+        assert list(iter_digit_blocks(kind, conv, 0)) == []
+        for n in (1, 2, 3, 1000, 250001):
+            blocks = list(iter_digit_blocks(kind, conv, n))
+            assert all(len(b) for b in blocks)
+            assert sum(map(len, blocks)) == n
+            assert np.array_equal(np.concatenate(blocks),
+                                  DigitStream(kind, conv).take(n))
+        assert len(blocks) >= 2
+        with pytest.raises(ValueError):
+            next(iter_digit_blocks(kind, conv, -1))
+
     def test_digit_pipeline_never_calls_gcd(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("np.gcd called")
@@ -133,6 +161,8 @@ class TestVectorizedGeneration:
             num, den = members_block(kind, 2, 300)
             for convention in Convention:
                 digit_matrix(num, den, convention)
+                for _ in iter_digit_blocks(kind, convention, 50000):
+                    pass
 
     def test_digit_matrix_rejects_bad_rows(self):
         with pytest.raises(ValueError):
@@ -154,16 +184,16 @@ class TestVectorizedGeneration:
         computed = []
         blocks = []
 
-        def counting_matrix(num, den, convention):
-            mat, lengths = digit_matrix(num, den, convention)
-            computed.append(int(lengths.sum()))
-            return mat, lengths
+        def counting_digits(num, den, convention):
+            digits, lengths = flat_digits(num, den, convention)
+            computed.append(len(digits))
+            return digits, lengths
 
         def counting_members(*args):
             blocks.append(args)
             return members_block(*args)
 
-        monkeypatch.setattr(streams, "digit_matrix", counting_matrix)
+        monkeypatch.setattr(streams, "flat_digits", counting_digits)
         monkeypatch.setattr(streams, "members_block", counting_members)
         out = digit_block(kind, conv, n)
         assert len(out) == n
@@ -179,12 +209,12 @@ class TestVectorizedGeneration:
         # longer than in the block that measured digits per pair
         computed = []
 
-        def counting_matrix(num, den, convention):
-            mat, lengths = digit_matrix(num, den, convention)
-            computed.append(int(lengths.sum()))
-            return mat, lengths
+        def counting_digits(num, den, convention):
+            digits, lengths = flat_digits(num, den, convention)
+            computed.append(len(digits))
+            return digits, lengths
 
-        monkeypatch.setattr(streams, "digit_matrix", counting_matrix)
+        monkeypatch.setattr(streams, "flat_digits", counting_digits)
         n = 10 ** 6
         assert len(digit_block(kind, conv, n)) == n
         assert sum(computed) <= 1.05 * n, (
@@ -287,6 +317,30 @@ class TestPatternCounting:
     def test_count_pattern_array_needs_read_ahead(self):
         with pytest.raises(ValueError):
             count_pattern_array(np.array([1, 2, 3]), Pattern((1, 2)), 3)
+
+
+class TestGridCounter:
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=300),
+           st.integers(1, 4), st.integers(1, 3),
+           st.lists(st.integers(0, 300), max_size=6),
+           st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    def test_matches_count_pattern_array_for_any_cuts(self, digits, max_digit,
+                                                      max_len, cuts, prefixes):
+        digits = np.array(digits + [10 ** 6] * (max_len - 1), dtype=np.int64)
+        n = len(digits) - (max_len - 1)
+        prefixes = [min(c, n) for c in prefixes]
+        counter = GridCounter(max_digit, max_len, prefixes)
+        for block in np.split(digits, sorted(cuts)):
+            counter.feed(block)
+        patterns = pattern_grid(max_digit, max_len)
+        for c in prefixes:
+            assert counter.counts[c].tolist() == [
+                count_pattern_array(digits, pat, c) for pat in patterns]
+
+    def test_large_digits_match_no_pattern(self):
+        counter = GridCounter(2, 2, [5])
+        counter.feed(np.array([1, 3, 2 ** 31 - 1, 2, 1, 1]))
+        assert counter.counts[5].tolist() == [2, 1, 1, 0, 1, 0]
 
 
 class TestGrowthTracker:
@@ -459,9 +513,9 @@ class TestNormalityReport:
 
     def test_checkpoints_checked_before_any_digit(self, monkeypatch):
         def no_digits(*args):
-            raise AssertionError("digit_block called before the checks")
+            raise AssertionError("iter_digit_blocks called before the checks")
 
-        monkeypatch.setattr(streams, "digit_block", no_digits)
+        monkeypatch.setattr(streams, "iter_digit_blocks", no_digits)
         for bad in ((0,), (5, 2 * 10 ** 6 + 1)):
             with pytest.raises(ValueError, match="checkpoint"):
                 normality_report(SequenceKind.TYPE1, Convention.LONG,
