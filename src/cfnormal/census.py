@@ -27,7 +27,7 @@ from .core import Convention, Rational, continuants, expand
 from .enumeration import SequenceKind, count_R, members_block
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
-from .streams import _euclid_counts, _window_hits
+from .streams import BLOCK_PAIR_CAP, _euclid_counts, _window_hits
 
 CENSUS_ROW_LIMIT = 2 * 10 ** 8
 #: estimate_measure samples this many rows at a time
@@ -156,30 +156,30 @@ def _classify_block(num: np.ndarray, den: np.ndarray, p: NormalityParams,
                     mirror: bool = False) -> tuple[int, int]:
     """(rows, abnormal rows) for the given member pairs.
 
-    With mirror set, the pairs must be closed under n/d -> (d-n)/d, and
-    Euclid runs only on the rows with 2n <= d.  Each row O with 2n < d also
+    With mirror set, the pairs must be the half of a mirror-closed block
+    with 2n <= d, as members_block(..., half=True) gives them, and each
+    stands for itself and its mirror (d-n)/d.  Each row O with 2n < d also
     classifies its mirror M = (1, O[0]-1) ++ O[1:] (Knuth, TAOCP vol. 2,
     4.5.3): the same q, length L+1, and a count of s that differs only in
-    the windows at M's first two positions and O's first.
+    the windows at M's first two positions and O's first.  A row with
+    2n = d is its own mirror and counts once.
     """
-    rows = len(num)
-    if mirror:
-        half = np.flatnonzero(2 * num <= den)
-        num, den = num[half], den[half]
     s = p.s.digits
     lengths, counts, first, gcd = _euclid_counts(num, den, s, p.convention,
                                                  len(s))
     logq = np.log((den // gcd).astype(np.float64))
     bad = int(_abnormal(counts, lengths, logq, p).sum())
-    if mirror:
-        f = [first[:, j] for j in range(len(s))]
-        head = f[0] - 1
-        m_counts = (counts - _window_hits(f, s)
-                    + _window_hits(([1, head] + f[1:])[:len(s)], s)
-                    + _window_hits([head] + f[1:], s))
-        m_bad = _abnormal(m_counts, lengths + 1, logq, p)
-        bad += int((m_bad & (2 * num < den)).sum())
-    return rows, bad
+    if not mirror:
+        return len(num), bad
+    f = [first[:, j] for j in range(len(s))]
+    head = f[0] - 1
+    m_counts = (counts - _window_hits(f, s)
+                + _window_hits(([1, head] + f[1:])[:len(s)], s)
+                + _window_hits([head] + f[1:], s))
+    m_bad = _abnormal(m_counts, lengths + 1, logq, p)
+    single = 2 * num == den
+    bad += int(np.count_nonzero(m_bad & ~single))
+    return 2 * len(num) - int(np.count_nonzero(single)), bad
 
 
 def _den_chunks(m: int):
@@ -192,13 +192,27 @@ def _den_chunks(m: int):
         lo = hi
 
 
+def _slices(rows: int):
+    """Bounds of the consecutive slices of at most BLOCK_PAIR_CAP rows that
+    the classifiers work on, so their arrays stay cache-sized."""
+    return ((i, i + BLOCK_PAIR_CAP) for i in range(0, rows, BLOCK_PAIR_CAP))
+
+
 def _census_chunk(args) -> tuple[int, int]:
+    """(rows, abnormal rows) of one denominator chunk, classified slice by
+    slice; a mirror kind enumerates only its members with 2n <= d."""
     kind_value, lo, hi, eps, s_digits, conv_value = args
     kind = SequenceKind(kind_value)
     p = NormalityParams(eps, Pattern(tuple(s_digits)),
                         Convention(conv_value))
-    num, den = members_block(kind, lo, hi)
-    return _classify_block(num, den, p, mirror=kind in MIRROR_KINDS)
+    mirror = kind in MIRROR_KINDS
+    num, den = members_block(kind, lo, hi, half=mirror)
+    rows = bad = 0
+    for a, b in _slices(len(num)):
+        r, n_bad = _classify_block(num[a:b], den[a:b], p, mirror=mirror)
+        rows += r
+        bad += n_bad
+    return rows, bad
 
 
 @dataclass
@@ -373,11 +387,10 @@ def gamma_census(gp: GammaParams,
     total = members = 0
     for lo, hi in _den_chunks(gp.m):
         num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, lo, hi)
-        if not len(num):
-            continue
-        flags = _gamma_block(num, den, gp, convention)
         total += len(num)
-        members += int(flags.sum())
+        for a, b in _slices(len(num)):
+            members += int(np.count_nonzero(
+                _gamma_block(num[a:b], den[a:b], gp, convention)))
     return GammaCensus(m=gp.m, params=gp, convention=convention,
                        total=total, members=members)
 
@@ -556,16 +569,15 @@ class GaussDigitSampler:
         self.push(a)
         return a
 
-    def step_tilted(self, theta: float, d: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray]:
+    def draw_tilted(self, theta: float, d: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One digit under an exponential tilt of the indicator {digit = d}.
 
         Emits d with probability q = p e^theta / (1 + p (e^theta - 1)) where
         p is the state-conditional probability, otherwise a digit drawn from
-        the exact conditional law on the complement.  Returns the digits and
-        the per-row log importance weight increment, so averaging
-        weight * indicator over many rows stays unbiased for the untilted
-        chain.
+        the exact conditional law on the complement.  Returns the digits, the
+        mask of the rows that emitted d (the rows whose digit is d: the
+        complement branch never gives d), p and q.
         """
         c_lo, p = self._digit_interval(d)
         et = math.exp(theta)
@@ -581,10 +593,18 @@ class GaussDigitSampler:
         # guard the measure-zero boundary roundings out of the d bucket
         a_other = np.where(a_other == d, d + 1, a_other)
         a = np.where(pick, d, a_other)
+        self.push(a)
+        return a, pick, p, q
+
+    def step_tilted(self, theta: float, d: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """draw_tilted's digits and the per-row log importance weight
+        increment, so averaging weight * indicator over many rows stays
+        unbiased for the untilted chain."""
+        a, pick, p, q = self.draw_tilted(theta, d, rng)
         dlogw = np.where(pick,
                          np.log(p) - np.log(q),
                          np.log1p(-p) - np.log1p(-q))
-        self.push(a)
         return a, dlogw
 
     def sample_matrix(self, depth: int,
@@ -731,7 +751,8 @@ def _tune_theta(d: int, target: float, seed: np.random.SeedSequence) -> float:
 
     Starts from the closed form for an independent Bernoulli stream (the
     digits are close to one) and applies two Newton corrections measured on
-    short pilot runs.
+    short pilot runs.  The pilots only count the emitted d, so they draw
+    without the importance weights.
     """
     rng = np.random.default_rng(seed)
     p0 = gauss_measure([d])
@@ -741,8 +762,8 @@ def _tune_theta(d: int, target: float, seed: np.random.SeedSequence) -> float:
         sampler = GaussDigitSampler(PILOT_ROWS)
         count = 0
         for _ in range(PILOT_DEPTH):
-            a, _ = sampler.step_tilted(theta, d, rng)
-            count += int((a == d).sum())
+            _, pick, _, _ = sampler.draw_tilted(theta, d, rng)
+            count += int(np.count_nonzero(pick))
         frac = count / (PILOT_ROWS * PILOT_DEPTH)
         theta += (t - frac) / max(frac * (1.0 - frac), 1e-3)
     return theta

@@ -249,7 +249,8 @@ def rational_at(kind: SequenceKind, i: int) -> Member:
     return _wrap(kind, int(num[0]), int(den[0]))
 
 
-def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray, np.ndarray]:
+def members_block(kind: SequenceKind, d_lo: int, d_hi: int, half: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """All (num, den) members with d_lo <= den < d_hi as int64 arrays, in order.
 
     Vectorized counterpart of enumerate_R used by the high-throughput digit
@@ -261,7 +262,9 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray,
     multiples of q in the row are struck: one strided slice per (d, q), or
     for type2 the one prime q.  The members are then read off the kept
     positions, so beyond the mask nothing the size of the candidates is
-    allocated.
+    allocated.  With half set only the members with 2 num <= den are
+    returned: each row's candidates stop at d // 2 (the primes up to d // 2
+    for type2 and type3), and the same sieve runs over the shorter rows.
     """
     d_lo = max(d_lo, 2)
     if d_hi <= d_lo:
@@ -276,11 +279,12 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray,
     elif kind is SequenceKind.SQUAREFREE_BOTH:
         dens = dens[sf[d_lo:d_hi]]
     prime_nums = kind in (SequenceKind.TYPE2, SequenceKind.TYPE3)
+    top = dens // 2 if half else dens - 1  # the largest candidate numerator
     if prime_nums:
         pi = np.cumsum(isp[:d_hi], dtype=np.int64)
-        counts = pi[dens - 1]
+        counts = pi[top]
     else:
-        counts = dens - 1
+        counts = top
     total = int(counts.sum())
     if total == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -294,11 +298,11 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int) -> tuple[np.ndarray,
         keep = np.ones(total, dtype=bool)
         for d, start, n in zip(dens.tolist(), starts.tolist(), counts.tolist()):
             if kind is SequenceKind.SQUAREFREE_BOTH:
-                keep[start:start + n] = sf[1:d]
+                keep[start:start + n] = sf[1:1 + n]
             for q in factorize_distinct(d):
                 if not prime_nums:
                     keep[start + q - 1:start + n:q] = False
-                elif q < d:  # q is the pi(q)-th prime, the only multiple
+                elif pi[q] <= n:  # q, the pi(q)-th prime, is the only multiple
                     keep[start + pi[q] - 1] = False
         pos = np.flatnonzero(keep)
         kept = np.diff(np.searchsorted(pos, starts), append=len(pos))

@@ -11,7 +11,7 @@ from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
                              GaussDigitSampler, NormalityParams,
                              _block_occurrences, _classify_block,
                              _den_chunks, _digit_of, _euclid_counts,
-                             _gamma_block,
+                             _gamma_block, _tune_theta,
                              continuant_den, digit_length, ef_decay_estimates,
                              estimate_measure, gamma_census,
                              gamma_prime_contains, gamma_prime_q_bounds,
@@ -190,17 +190,20 @@ class TestCensusKernel:
 
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_classify_block_matches_oracle(self, kind):
+        # a mirror kind classifies its half block; the oracle sees every row
+        mirror = kind in MIRROR_KINDS
         num, den = members_block(kind, 2, 601)
+        rows = members_block(kind, 2, 601, half=mirror)
         for conv in Convention:
             for s in KERNEL_PATTERNS:
                 for eps in (0.1, 0.25):
                     p = NormalityParams(eps, Pattern(s), conv)
-                    assert _classify_block(
-                        num, den, p, mirror=kind in MIRROR_KINDS) \
+                    assert _classify_block(*rows, p, mirror=mirror) \
                         == _oracle_block(num, den, p)
 
     def test_classify_block_needs_no_matrix_and_no_gcd(self, monkeypatch):
-        blocks = [members_block(kind, 2, 101)
+        blocks = [(members_block(kind, 2, 101, half=True),
+                   len(members_block(kind, 2, 101)[0]))
                   for kind in (ALL, SequenceKind.ALL_WITH_DUPLICATES)]
 
         def refuse(*args, **kwargs):
@@ -209,8 +212,8 @@ class TestCensusKernel:
         monkeypatch.setattr(census, "_block_occurrences", refuse)
         monkeypatch.setattr(census.np, "gcd", refuse)
         p = NormalityParams(0.25, Pattern((1,)))
-        for num, den in blocks:
-            assert _classify_block(num, den, p, mirror=True)[0] == len(num)
+        for (num, den), total in blocks:
+            assert _classify_block(num, den, p, mirror=True)[0] == total
 
     @pytest.mark.parametrize("kind,conv,s", [
         (SequenceKind.ALL_LOWEST_TERMS, Convention.LONG, (1,)),
@@ -235,6 +238,30 @@ class TestCensusKernel:
         for threads in (1, 2):
             report = run_census(kind, m, p, threads=threads)
             assert (report.total, report.abnormal) == (rows, bad)
+
+
+class TestSlices:
+    """The census classifies each chunk in slices of BLOCK_PAIR_CAP rows;
+    the slice size must not change a count.  A cap of 1 puts every row of
+    a chunk in a slice of its own."""
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_run_census_counts_do_not_depend_on_the_cap(self, kind,
+                                                        monkeypatch):
+        p = NormalityParams(0.25, Pattern((1, 2)))
+        want = run_census(kind, 100, p, threads=1)
+        for cap in (1, 7, 1000):
+            monkeypatch.setattr(census, "BLOCK_PAIR_CAP", cap)
+            got = run_census(kind, 100, p, threads=1)
+            assert (got.total, got.abnormal) == (want.total, want.abnormal)
+
+    def test_gamma_census_counts_do_not_depend_on_the_cap(self, monkeypatch):
+        gp = GammaParams(100, 0.1, 0.1, Pattern((1,)))
+        want = gamma_census(gp)
+        for cap in (1, 7, 1000):
+            monkeypatch.setattr(census, "BLOCK_PAIR_CAP", cap)
+            got = gamma_census(gp)
+            assert (got.total, got.members) == (want.total, want.members)
 
 
 class TestMirror:
@@ -273,8 +300,8 @@ class TestMirror:
         num, den = members_block(dup, 2, 9)
         assert int((2 * num == den).sum()) == 4     # 1/2, 2/4, 3/6, 4/8
         p = NormalityParams(0.25, Pattern((1,)))
-        assert _classify_block(num, den, p, mirror=True) \
-            == _oracle_block(num, den, p)
+        assert _classify_block(*members_block(dup, 2, 9, half=True), p,
+                               mirror=True) == _oracle_block(num, den, p)
 
 
 class TestNDelta:
@@ -358,7 +385,7 @@ class TestGamma:
         small = gamma_census(self.GP)
         assert (small.total, small.members) == (304191, 285542)
         assert small.params.n == 4
-        # heavier run, around a minute of numpy time
+        # heavier run: 30.4e6 rationals, several seconds of numpy time
         big = gamma_census(GammaParams(10 ** 4, 0.1, 0.1, Pattern((1,))))
         assert (big.total, big.members) == (30397485, 25954830)
         assert big.ratio < small.ratio
@@ -816,6 +843,15 @@ class TestPinnedOutputs:
              "hits": 1473},
             {"N": 100, "estimate": 0.276, "stderr": 0.009995599031573845,
              "hits": 552}]
+
+    def test_pilots_draw_without_weights(self, monkeypatch):
+        # the theta_hi of test_ef_decay_report, tuned without step_tilted
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pilot computed importance weights")
+        monkeypatch.setattr(GaussDigitSampler, "step_tilted", refuse)
+        seed = np.random.SeedSequence(4).spawn(5)[0]
+        assert _tune_theta(1, 1.5 * gauss_measure((1,)), seed) \
+            == 0.9044956699511251
 
     def test_gamma_census(self):
         short = gamma_census(GammaParams(m=2000, delta=0.05, eta=0.2, s=(1,)),

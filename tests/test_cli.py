@@ -375,6 +375,18 @@ class TestCensus:
         assert (doc["total"], doc["abnormal"]) == (5100019, 2894863)
         assert peak_mb <= 200, f"census peak RSS {peak_mb:.0f} MB > 200 MB"
 
+    def test_census_classifies_in_cache_sized_slices(self, cli_peak):
+        # whole chunks of about 1e6 member rows at a time reached about
+        # 120 MB here; slices of BLOCK_PAIR_CAP rows of the half block stay
+        # near 50 MB
+        code, out, peak_mb = cli_peak(
+            ["census", "--kind", "all", "-m", "4096", "--eps", "0.25",
+             "--s", "1", "--threads", "1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["total"], doc["abnormal"]) == (5100019, 2894863)
+        assert peak_mb <= 80, f"census peak RSS {peak_mb:.0f} MB > 80 MB"
+
 
 class TestCounters:
     def test_count_is_bare_json_integer(self, capsys):

@@ -143,6 +143,26 @@ def test_members_block_empty_ranges():
     assert len(num) == 0
 
 
+@pytest.mark.parametrize("kind", list(SequenceKind))
+@pytest.mark.parametrize("d_lo,d_hi", [
+    (2, 300),           # from the first denominator
+    (101, 160),         # odd d_lo
+    (2310, 2400),       # even d_lo, 2310 = 2*3*5*7*11
+    (24, 29),           # no prime in 24..28
+    (40, 40),           # empty range
+    (97, 98),           # one prime denominator
+    (96, 97),           # one composite denominator
+    (0, 3),             # below 2: only d = 2
+])
+def test_members_block_half_is_the_filtered_full_block(kind, d_lo, d_hi):
+    num, den = members_block(kind, d_lo, d_hi)
+    keep = 2 * num <= den
+    half_num, half_den = members_block(kind, d_lo, d_hi, half=True)
+    assert half_num.dtype == half_den.dtype == np.int64
+    assert np.array_equal(half_num, num[keep])
+    assert np.array_equal(half_den, den[keep])
+
+
 def _gcd_rule(kind, d_lo, d_hi):
     """Members by a pairwise rule: every raw pair (num, den) of the block,
     filtered by np.gcd and the kind's tables."""
