@@ -130,19 +130,15 @@ def is_eps_s_normal(r: Rational, p: NormalityParams) -> NormalityCheck:
 # ---------------------------------------------------------------------------
 # vectorized classification over denominator blocks
 
-def _block_occurrences(mat: np.ndarray, lengths: np.ndarray,
-                       s_digits: tuple[int, ...]) -> np.ndarray:
-    """Rowwise count of s inside the first lengths[i] digits of row i; the
-    window scan behind _gamma_block, over its n leading digit columns."""
+def _block_occurrences(mat: np.ndarray, s_digits: tuple[int, ...]
+                       ) -> np.ndarray:
+    """Rowwise count of s in a zero-padded digit matrix; the window scan
+    behind _gamma_block, over its n leading digit columns.  A window that
+    reaches into the padding never matches, since s has no digit 0."""
     k = len(s_digits)
-    width = mat.shape[1]
-    counts = np.zeros(mat.shape[0], dtype=np.int64)
-    for j in range(width - k + 1):
-        ok = lengths >= j + k
-        for t, d in enumerate(s_digits):
-            ok = ok & (mat[:, j + t] == d)
-        counts += ok
-    return counts
+    starts = max(mat.shape[1] - k + 1, 0)
+    window = [mat[:, j:j + starts] for j in range(k)]
+    return _window_hits(window, s_digits).sum(axis=1)
 
 
 def _abnormal(counts: np.ndarray, lengths: np.ndarray, logq: np.ndarray,
@@ -356,7 +352,7 @@ def _gamma_block(num: np.ndarray, den: np.ndarray, gp: GammaParams,
         q_prev, q_cur = q_cur, a * q_cur + q_prev
     with np.errstate(divide="ignore", invalid="ignore"):
         growth_bad = np.abs(np.log(q_cur) / n - KHINCHIN_LEVY) > gp.delta
-    counts = _block_occurrences(first, np.minimum(lengths, n), gp.s.digits)
+    counts = _block_occurrences(first, gp.s.digits)
     freq_bad = np.abs(counts / n - gauss_measure(gp.s)) > gp.eta
     return short | growth_bad | freq_bad
 

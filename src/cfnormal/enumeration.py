@@ -243,8 +243,6 @@ def rational_at(kind: SequenceKind, i: int) -> Member:
     """The i-th member (1-based); inverse of index_of."""
     if i < 1:
         raise ValueError("index must be >= 1")
-    if kind is SequenceKind.ALL_WITH_DUPLICATES:
-        return _aks_dup_at(i)
     num, den = members_at(kind, [i])
     return _wrap(kind, int(num[0]), int(den[0]))
 

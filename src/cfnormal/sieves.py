@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -161,20 +162,9 @@ def coprime_count(x: int, m: int) -> int:
     if x < 0:
         raise ValueError("x must be >= 0")
     ps = factorize_distinct(m)
-    total = 0
-    for mask in range(1 << len(ps)):
-        d = 1
-        bits = 0
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                d *= ps[i]
-                bits += 1
-            mm >>= 1
-            i += 1
-        total += (-1) ** bits * (x // d)
-    return total
+    return sum((-1) ** r * (x // math.prod(c))
+               for r in range(len(ps) + 1)
+               for c in itertools.combinations(ps, r))
 
 
 def pi_prime_linear(x: int, q: int, a: int) -> int:

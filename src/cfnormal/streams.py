@@ -99,13 +99,7 @@ class DigitStream:
         return self._buf.popleft()
 
     def take(self, n: int) -> list[int]:
-        out = []
-        for _ in range(n):
-            try:
-                out.append(next(self))
-            except StopIteration:
-                break
-        return out
+        return list(itertools.islice(self, max(n, 0)))
 
 
 def _max_expansion_length(max_den: int, convention: Convention) -> int:
@@ -344,10 +338,11 @@ def digit_block(kind: SequenceKind, convention: Convention, n_digits: int,
 class FrequencyTracker:
     """Multi-pattern occurrence counter over a digit stream.
 
-    Builds an Aho-Corasick prefix automaton over the alphabet 1..max_digit
-    plus a single OTHER symbol (any larger digit), with failure links folded
-    into a dense transition table.  OTHER can never extend a pattern, so it
-    is honest to collapse the unbounded digit alphabet this way.
+    Keeps the last max_len - 1 digits it has read, so a window may span two
+    calls to run, and counts each pattern with _window_hits over shifted
+    slices of those digits followed by the new ones.  A digit outside
+    1..2^63-1 is read as 0 before the int64 conversion: pattern digits are
+    at least 1, so it matches no pattern and cannot overflow.
     """
 
     def __init__(self, patterns: Sequence[Union[Pattern, Sequence[int]]]):
@@ -357,52 +352,10 @@ class FrequencyTracker:
         if len(set(p.digits for p in pats)) != len(pats):
             raise ValueError("patterns must be distinct")
         self.patterns = pats
-        self.max_digit = max(max(p.digits) for p in pats)
         self.max_len = max(len(p) for p in pats)
-        self._build()
         self.counts = [0] * len(pats)
         self.position = 0
-        self.state = 0
-
-    def _build(self) -> None:
-        nsym = self.max_digit + 1  # symbol 0 is OTHER
-        goto: list[list[int]] = [[0] * nsym]
-        out: list[list[tuple[int, int]]] = [[]]
-        # trie phase
-        for idx, pat in enumerate(self.patterns):
-            state = 0
-            for d in pat.digits:
-                nxt = goto[state][d]
-                if nxt == 0:
-                    goto.append([0] * nsym)
-                    out.append([])
-                    nxt = len(goto) - 1
-                    goto[state][d] = nxt
-                state = nxt
-            out[state].append((idx, len(pat)))
-        # BFS failure links, folded straight into the table
-        fail = [0] * len(goto)
-        queue = deque()
-        for sym in range(1, nsym):
-            s = goto[0][sym]
-            if s:
-                fail[s] = 0
-                queue.append(s)
-        while queue:
-            s = queue.popleft()
-            for sym in range(1, nsym):
-                t = goto[s][sym]
-                if t:
-                    fail[t] = goto[fail[s]][sym]
-                    out[t] = out[t] + out[fail[t]]
-                    queue.append(t)
-                else:
-                    goto[s][sym] = goto[fail[s]][sym]
-        # symbol 0 (OTHER) always resets to the root
-        for row in goto:
-            row[0] = 0
-        self._goto = goto
-        self._out = out
+        self._kept = np.empty(0, dtype=np.int64)
 
     def feed(self, digit: int, limit: Optional[int] = None) -> None:
         """Consume one digit; count pattern starts at positions <= limit."""
@@ -411,23 +364,24 @@ class FrequencyTracker:
     def run(self, digits: Iterable[int], limit: Optional[int] = None) -> None:
         """Consume the digits in order; count pattern starts at positions
         <= limit."""
-        goto = self._goto
-        out = self._out
-        state = self.state
-        pos = self.position
-        counts = self.counts
-        maxd = self.max_digit
-        for d in digits:
-            pos += 1
-            state = goto[state][d if d <= maxd else 0]
-            hits = out[state]
-            if hits:
-                for idx, k in hits:
-                    start = pos - k + 1
-                    if start >= 1 and (limit is None or start <= limit):
-                        counts[idx] += 1
-        self.state = state
-        self.position = pos
+        new = np.array([d if 0 < d < 2 ** 63 else 0 for d in digits],
+                       dtype=np.int64)
+        kept = len(self._kept)
+        buf = np.concatenate((self._kept, new))
+        # buf[i] is the digit at position first + i
+        first = self.position - kept + 1
+        self.position += len(new)
+        for idx, p in enumerate(self.patterns):
+            k = len(p)
+            lo = max(kept - k + 1, 0)  # earlier windows were counted before
+            hi = len(buf) - k + 1
+            if limit is not None:
+                hi = min(hi, limit - first + 1)
+            if hi > lo:
+                window = [buf[lo + j:hi + j] for j in range(k)]
+                self.counts[idx] += int(np.count_nonzero(
+                    _window_hits(window, p.digits)))
+        self._kept = buf[max(len(buf) - self.max_len + 1, 0):].copy()
 
     def as_dict(self) -> dict[Pattern, int]:
         return dict(zip(self.patterns, self.counts))
@@ -459,10 +413,8 @@ def count_pattern_array(digits: np.ndarray, s: Union[Pattern, Sequence[int]],
     k = len(s)
     if len(digits) < n + k - 1:
         raise ValueError(f"need {n + k - 1} digits, have {len(digits)}")
-    match = np.ones(n, dtype=bool)
-    for j, d in enumerate(s.digits):
-        match &= digits[j:j + n] == d
-    return int(match.sum())
+    window = [digits[j:j + n] for j in range(k)]
+    return int(np.count_nonzero(_window_hits(window, s.digits)))
 
 
 #: GrowthTracker.update_many and GridCounter.feed work through GROWTH_CHUNK

@@ -6,12 +6,15 @@ ladder, and the Monte Carlo decay run are computed once no matter how many
 tests consume them.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cfnormal
 from cfnormal.census import (NormalityParams, ef_decay_estimates,
                              mc_growth_rate, resolve_threads, run_census)
 from cfnormal.core import Convention
@@ -24,6 +27,12 @@ ACCEPTANCE_PATTERNS = tuple(
     Pattern(t) for t in ((1,), (2,), (3,), (4,), (5,), (1, 1), (1, 2), (2, 1)))
 
 STREAM_N = 10 ** 6
+
+# child interpreters (`python -m cfnormal.cli`) import the package that the
+# tests imported, wherever pytest found it
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(cfnormal.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -170,7 +170,7 @@ def test_criterion_07_oracle_equivalences(capsys):
         if evaluate_digits(combined) != (want.num, want.den):
             failures.append(f"concat {rs}")
 
-    # sweep 4: automaton counter against a direct window scan
+    # sweep 4: streaming window counter against a direct window scan
     for case in range(100):
         digits = rng.integers(1, 7, size=int(rng.integers(50, 2000))).tolist()
         pats = {tuple(int(x) for x in rng.integers(1, 7, size=rng.integers(1, 4)))

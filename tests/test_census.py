@@ -122,7 +122,7 @@ KERNEL_PATTERNS = [(1,), (2,), (1, 1), (1, 2), (2, 1, 1), (3,)]
 def _oracle_block(num, den, p):
     """(rows, abnormal rows) from the digit matrix, a window scan and gcd."""
     mat, lengths = digit_matrix(num, den, p.convention)
-    counts = _block_occurrences(mat, lengths, p.s.digits)
+    counts = _block_occurrences(mat, p.s.digits)
     logq = np.log((den // np.gcd(num, den)).astype(np.float64))
     normal = ((np.abs(counts / lengths - gauss_measure(p.s)) < p.epsilon)
               & (np.abs(logq / lengths - KHINCHIN_LEVY) < p.epsilon))

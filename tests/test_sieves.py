@@ -82,7 +82,7 @@ def test_phi_summatory_density():
     assert 0.995 <= scaled <= 1.005
 
 
-@given(st.integers(1, 400), st.integers(1, 400))
+@given(st.integers(0, 400), st.integers(1, 400))
 def test_coprime_count_brute(x, m):
     assert coprime_count(x, m) == sum(
         1 for k in range(1, x + 1) if math.gcd(k, m) == 1)

@@ -1,5 +1,6 @@
 """Digit streams, pattern counting, and growth tracking."""
 
+import itertools
 import math
 import time
 
@@ -66,6 +67,7 @@ class TestDigitStream:
     def test_explicit_indices(self):
         s = DigitStream(indices=[3, 3, 3], convention=Convention.SHORT)
         assert s.take(10) == [1, 2, 1, 2, 1, 2]   # finite source runs dry
+        assert s.take(-1) == []
         s = DigitStream(indices=iter([1, 2, 3, 4, 5]),
                         convention=Convention.SHORT)
         assert s.take(7) == ALL_PREFIX_15[:7]
@@ -275,6 +277,32 @@ class TestPatternCounting:
         assert counts[Pattern((2, 9))] == 1
         counts = count_patterns(iter([3, 1, 2, 9]), [Pattern((9,))], 3)
         assert counts[Pattern((9,))] == 0
+
+    def test_non_pattern_digits_never_match(self):
+        tracker = FrequencyTracker([(5,), (1, 5)])
+        tracker.run([-1, 1, -1])
+        assert tracker.counts == [0, 0]
+        counts = count_patterns(iter([1, -1, 3]), [Pattern((3,))], 2)
+        assert counts[Pattern((3,))] == 0
+        tracker = FrequencyTracker([(1,), (1, 1), (2, 1)])
+        tracker.run([0, -1, 2 ** 63, 2 ** 70, -2 ** 70, 1, 2 ** 64 + 1, 1])
+        assert tracker.counts == [2, 0, 0]
+        assert tracker.position == 8
+
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, -1, 2 ** 70]), max_size=60),
+           st.lists(st.integers(0, 60), max_size=8),
+           st.sampled_from([None, 25]))
+    def test_streaming_matches_naive_scan_for_any_cuts(self, digits, cuts,
+                                                       limit):
+        pats = [(1,), (3,), (1, 1), (1, 2, 1), (3, 1, 1, 2)]
+        tracker = FrequencyTracker(pats)
+        for a, b in itertools.pairwise([0, *sorted(cuts), len(digits)]):
+            tracker.run(digits[a:b], limit)
+        assert tracker.position == len(digits)
+        stop = len(digits) if limit is None else min(limit, len(digits))
+        assert tracker.counts == [
+            sum(tuple(digits[i:i + len(p)]) == p for i in range(stop))
+            for p in pats]
 
     def test_tracker_validation(self):
         with pytest.raises(ValueError):
