@@ -148,13 +148,10 @@ def count_R(kind: SequenceKind, m: int) -> int:
 
 
 def _aks_dup_at(i: int) -> tuple[int, int]:
-    # count over dens <= n is n(n-1)/2; find the smallest den covering i
-    den = max(2, math.isqrt(2 * i))
-    while den * (den - 1) // 2 < i:
-        den += 1
-    while den > 2 and (den - 1) * (den - 2) // 2 >= i:
-        den -= 1
-    return (i - (den - 1) * (den - 2) // 2, den)
+    # count over dens <= k is k(k-1)/2, so den = k + 1 for the largest k
+    # with k(k-1)/2 < i: the floor of the positive root of k^2 - k = 2(i - 1)
+    k = (math.isqrt(8 * i - 7) + 1) // 2
+    return (i - k * (k - 1) // 2, k + 1)
 
 
 def _bisect_den(i: int, count: Callable[[int], int]) -> int:

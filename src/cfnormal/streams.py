@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Convention, Rational, cf_digits
+from .core import Convention, Rational, cf_digits, continuants
 from .enumeration import Member, SequenceKind, iter_members, members_block, rational_at
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, GOLDEN, Pattern, gauss_measure, pattern_grid
@@ -427,8 +427,6 @@ GROWTH_WARMUP = 64
 #: continuant products stay in int64 while log2 of their entry bound is below
 _INT64_PRODUCT_BITS = 62
 
-_IDENTITY = (1, 0, 0, 1)  # 2x2 matrices are row-major tuples
-
 
 def _matmul2(m: Sequence, p: Sequence, column: bool = False) -> tuple:
     """Row-major 2x2 product m p of ints or of arrays, elementwise; only its
@@ -486,10 +484,10 @@ def _ratio_recurrence(a: np.ndarray, ratio: float) -> np.ndarray:
     return t.T.ravel()[:n]
 
 
-def _continuant_products(a: np.ndarray, bounds: np.ndarray,
-                         column: bool = False) -> list[tuple[int, ...]]:
-    """Exact product of [[a_i, 1], [1, 0]] over each a[bounds[s]:bounds[s+1]],
-    row-major, or only its first column (P11, P21) if `column`.
+def _continuant_products(a: np.ndarray, bounds: np.ndarray
+                         ) -> list[tuple[int, int]]:
+    """First column (P11, P21) of the exact product of [[a_i, 1], [1, 0]]
+    over each a[bounds[s]:bounds[s+1]].
 
     A pairwise tree, vectorised over the segments: segment s fills row s
     from the left and identities pad the rows to one width.  No entry of a
@@ -517,7 +515,7 @@ def _continuant_products(a: np.ndarray, bounds: np.ndarray,
         left = [x[:, 0::2] for x in nodes]
         right = [x[:, 1::2] for x in nodes]
         # at the top only the first column of the product is needed
-        top = column and left[0].shape[1] == 1 and not carry
+        top = left[0].shape[1] == 1 and not carry
         nodes = _matmul2(left, right, top)
         if bits is not None:
             bits = np.concatenate((bits[:, 0:-1:2] + bits[:, 1::2],
@@ -535,7 +533,7 @@ def _continuant_products(a: np.ndarray, bounds: np.ndarray,
                 bits = None
         if carry:
             nodes = [np.concatenate(pair, axis=1) for pair in zip(nodes, tail)]
-    if column and len(nodes) == 4:
+    if len(nodes) == 4:
         nodes = nodes[0::2]
     return list(zip(*(x[:, 0].tolist() for x in nodes)))
 
@@ -545,16 +543,18 @@ class GrowthTracker:
 
     Uses the stable recurrence  log q_n = log q_{n-1} + ln(a_n + q_{n-2}/q_{n-1})
     in doubles, and audits itself against exact big-integer continuants over
-    each checkpoint window.  The window state is the running product
-    [[W11, W12], [W21, W22]] of the matrices [[a, 1], [1, 0]] of its digits:
+    each checkpoint window, whose digits it keeps.  The window's product
+    [[W11, W12], [W21, W22]] of the matrices [[a, 1], [1, 0]] has
     W11 = K(window digits), W21 = K(window digits minus the first), and
     q_end = W11 q_start + W21 q_{start-1}, so the float value must stay
     within AUDIT_TOL of  log q_start + ln W11 + log1p((W21/W11) * ratio_start).
 
     update_many is the vectorised form of a loop of update calls and gives
     the same bits: the recurrence runs lane-parallel (_ratio_recurrence),
-    the logs are math.log's, summed left to right, and each window product
-    comes from a pairwise tree (_continuant_products).
+    the logs are math.log's, summed left to right, and the windows' first
+    columns come from a pairwise tree (_continuant_products).  update takes
+    its window's first column from core.continuants instead, so a loop of
+    update calls shares no arithmetic with the tree.
     """
 
     def __init__(self, audit_interval: int = AUDIT_INTERVAL):
@@ -568,22 +568,21 @@ class GrowthTracker:
         self._reset_window()
 
     def _reset_window(self) -> None:
-        self._window = _IDENTITY
-        self._window_digits = 0
+        self._window: list[int] = []  # digits of the open audit window
         self._logq_start = self.logq
         self._ratio_start = self.ratio
 
     def update(self, a: int) -> None:
-        if a < 1:
-            raise ValueError("digits must be >= 1")
+        if not 1 <= a < 2 ** 63 or a != int(a):
+            raise ValueError("digits must be integers in 1..2**63 - 1")
         t = a + self.ratio
         self.logq += math.log(t)
         self.ratio = 1.0 / t
         self.n += 1
-        self._window = _matmul2(self._window, (a, 1, 1, 0))
-        self._window_digits += 1
-        if self._window_digits >= self.audit_interval:
-            self._audit(self._window[0], self._window[2])
+        self._window.append(a)
+        if len(self._window) >= self.audit_interval:
+            _, _, w21, w11 = continuants(self._window)
+            self._audit(w11, w21)
 
     def update_many(self, digits: Iterable[int]) -> None:
         """update() on each digit in turn, at most GROWTH_CHUNK digits at a
@@ -597,7 +596,7 @@ class GrowthTracker:
             size = GROWTH_CHUNK
             if self.audit_interval <= size:
                 # end the chunk where an audit window ends
-                size -= (self._window_digits + size) % self.audit_interval
+                size -= (len(self._window) + size) % self.audit_interval
             self._update_chunk(a[lo:lo + size])
             lo += size
 
@@ -607,25 +606,21 @@ class GrowthTracker:
         logq[0] += self.logq
         np.cumsum(logq, out=logq)
         n0 = self.n
-        # the audits of this chunk fall after these many of its digits
-        ends = np.arange(self.audit_interval - self._window_digits,
-                         len(a) + 1, self.audit_interval)
+        kept = len(self._window)
+        window = np.concatenate((self._window, a)) if kept else a
+        # the audits fall after these many digits of the open window
+        ends = np.arange(self.audit_interval, len(window) + 1,
+                         self.audit_interval)
         lo = 0
         if len(ends):
-            columns = _continuant_products(
-                a, np.concatenate(([0], ends)), column=True)
-            for hi, (c11, c21) in zip(ends.tolist(), columns):
-                # the window's first column is its state times (c11, c21)
-                w11, w12, w21, w22 = self._window
+            columns = _continuant_products(window, np.concatenate(([0], ends)))
+            for hi, (w11, w21) in zip((ends - kept).tolist(), columns):
                 self.n = n0 + hi
                 self.logq = float(logq[hi - 1])
                 self.ratio = float(1.0 / t[hi - 1])
-                self._audit(w11 * c11 + w12 * c21, w21 * c11 + w22 * c21)
+                self._audit(w11, w21)
             lo = int(ends[-1])
-        if lo < len(a):
-            (product,) = _continuant_products(a, np.array([lo, len(a)]))
-            self._window = _matmul2(self._window, product)
-            self._window_digits += len(a) - lo
+        self._window = window[lo:].tolist()
         self.n = n0 + len(a)
         self.logq = float(logq[-1])
         self.ratio = float(1.0 / t[-1])
@@ -687,29 +682,23 @@ class GridCounter:
             return  # every prefix is counted
         # symbol d - 1, and md for any digit above md
         sym = np.concatenate((self._carry, np.minimum(digits, md + 1) - 1))
-        stop = min(len(sym) - (k - 1), self.prefixes[-1] - self._starts)
-        if stop <= 0:
-            self._carry = sym  # fewer than max_len digits so far
-            return
-        cuts = [c - self._starts for c in self.prefixes
-                if self._starts < c < self._starts + stop] + [stop]
-        in_grid = sym < md
-        code = np.zeros(stop, dtype=np.int64)
-        valid = np.ones(stop, dtype=bool)
-        parts = []  # parts[j][i]: length j + 1 counts of the i-th segment
-        for j in range(k):
-            code = code * md + sym[j:j + stop]
-            valid &= in_grid[j:j + stop]
-            parts.append([np.bincount(code[lo:hi][valid[lo:hi]],
-                                      minlength=md ** (j + 1))
-                          for lo, hi in zip([0] + cuts, cuts)])
-        for i, cut in enumerate(cuts):
-            for total, part in zip(self._totals, parts):
-                total += part[i]
-            if self._starts + cut in self.prefixes:
-                self.counts[self._starts + cut] = np.concatenate(self._totals)
-        self._starts += stop
-        self._carry = sym[stop:].copy()
+        for c in self.prefixes[len(self.counts):]:
+            # the window starts up to prefix c that these digits complete
+            stop = min(len(sym) - (k - 1), c - self._starts)
+            if stop <= 0:
+                break
+            code = np.zeros(stop, dtype=np.int64)
+            valid = np.ones(stop, dtype=bool)
+            for j, total in enumerate(self._totals):
+                code = code * md + sym[j:j + stop]
+                valid &= sym[j:j + stop] < md
+                total += np.bincount(code[valid], minlength=md ** (j + 1))
+            self._starts += stop
+            sym = sym[stop:]
+            if self._starts < c:
+                break
+            self.counts[c] = np.concatenate(self._totals)
+        self._carry = sym[:k - 1].copy()
 
 
 @dataclass

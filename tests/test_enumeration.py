@@ -268,6 +268,19 @@ def test_unreachable_index_is_refused_before_any_sieve():
     assert index_of(SequenceKind.ALL_WITH_DUPLICATES, (num, den)) == far
 
 
+@given(st.integers(1, 10 ** 30))
+@example(1)
+@example(3)                                 # last of den 3
+@example(4)                                 # first of den 4
+@example(10 ** 15 * (10 ** 15 - 1) // 2)    # last of den 10^15 + 1
+@example(10 ** 15 * (10 ** 15 - 1) // 2 + 1)
+@example(10 ** 30)
+def test_aks_dup_closed_form_round_trip(i):
+    kind = SequenceKind.ALL_WITH_DUPLICATES
+    num, den = members_at(kind, [i])
+    assert index_of(kind, (int(num[0]), int(den[0]))) == i
+
+
 def test_members_at_edges():
     num, den = members_at(SequenceKind.ALL_LOWEST_TERMS, [])
     assert len(num) == 0 and len(den) == 0

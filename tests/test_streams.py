@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,14 @@ class TestGridCounter:
         counter.feed(np.array([1, 3, 2 ** 31 - 1, 2, 1, 1]))
         assert counter.counts[5].tolist() == [2, 1, 1, 0, 1, 0]
 
+    def test_digits_past_the_last_prefix_are_not_kept(self):
+        counter = GridCounter(3, 3, [10, 400])
+        counter.feed(np.arange(1, 1000) % 4 + 1)
+        counts = {c: v.tolist() for c, v in counter.counts.items()}
+        counter.feed(np.ones(10 ** 5, dtype=np.int64))
+        assert {c: v.tolist() for c, v in counter.counts.items()} == counts
+        assert len(counter._carry) <= counter.max_len - 1
+
 
 class TestGrowthTracker:
     def test_matches_exact_continuants(self):
@@ -413,6 +422,28 @@ class TestGrowthTracker:
         for interval in (0, -1):
             with pytest.raises(ValueError, match="audit_interval must be >= 1"):
                 GrowthTracker(audit_interval=interval)
+
+    def test_numpy_digits_audit_exactly(self):
+        tracker = GrowthTracker(audit_interval=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(30):
+                tracker.update(np.int64(9))
+        assert _growth_state(tracker) == _growth_state(
+            _loop_tracker([9] * 30, audit_interval=30))
+
+    def test_update_rejects_non_digits_before_any_change(self):
+        tracker = GrowthTracker(audit_interval=10)
+        for a in (3, 1, 4):
+            tracker.update(a)
+        before = _growth_state(tracker)
+        for bad in (2 ** 63, 2.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                tracker.update(bad)
+        assert _growth_state(tracker) == before
+        assert tracker._window == [3, 1, 4]
+        tracker.update(2 ** 63 - 1)
+        assert tracker.n == 4
 
     def test_update_many_rejects_bad_digits_before_any_update(self):
         tracker = GrowthTracker(audit_interval=10)
@@ -501,6 +532,21 @@ class TestGrowthTrackerVectorised:
             r = 1.0 / ref[-1]
         assert t.tolist() == ref
         _assert_same_bits(digits)
+
+    def test_scalar_oracle_shares_no_arithmetic_with_the_tree(
+            self, monkeypatch, long_digits):
+        digits = long_digits[SequenceKind.TYPE3][:3_500].tolist()
+        vectorised = GrowthTracker(audit_interval=1000)
+        vectorised.update_many(digits)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the scalar update used the product tree")
+
+        monkeypatch.setattr(streams, "_matmul2", forbidden)
+        monkeypatch.setattr(streams, "_continuant_products", forbidden)
+        tracker = _loop_tracker(digits, 1000)
+        assert tracker.max_audit_rel_err > 0.0
+        assert _growth_state(tracker) == _growth_state(vectorised)
 
     def test_drift_between_calls_is_caught(self):
         tracker = GrowthTracker(audit_interval=100)
