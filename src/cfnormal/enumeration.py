@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import Rational
 from .errors import ResourceLimitError
-from .sieves import SIEVE_LIMIT_MAX, ArithTables, factorize_distinct, get_tables
+from .sieves import (SIEVE_LIMIT_MAX, ArithTables, factorize_distinct,
+                     get_tables, prime_sieve)
 
 Member = Union[Rational, tuple[int, int]]
 
@@ -104,7 +105,9 @@ def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:
 
 def _cumulative(kind: SequenceKind, m: int) -> np.ndarray:
     """cum[d] = count_R(kind, d) for d = 0..limit of the shared tables,
-    which cover at least m; kept on the tables, so growing them rebuilds it."""
+    which cover at least m; kept on the tables, so growing them rebuilds it.
+    members_at and index_of read it for every kind but squarefree, count_R
+    for all only; the tests hold count_R's prime-kind sums to it."""
     tables = get_tables(m)
     if kind not in tables.cumulative:
         counts = _per_den_counts(kind, tables)
@@ -134,6 +137,25 @@ def _count_squarefree_both(m: int) -> int:
     return (int(np.dot(mob, s * s)) - 1) // 2
 
 
+def _count_prime_kind(kind: SequenceKind, m: int) -> int:
+    # Sums over the primes p <= m alone, so only the prime sieve is built:
+    #   type1  sum_p (p - 1)
+    #   type2  sum_{d<=m} pi(d-1) - omega(d) + [d prime]
+    #          = sum_p (m - p) - sum_p floor(m/p) + pi(m)
+    #   type3  C(pi(m), 2)
+    primes = np.flatnonzero(prime_sieve(m))
+    n = len(primes)
+    if kind is SequenceKind.TYPE3:
+        return n * (n - 1) // 2
+    total = int(primes.sum())
+    if kind is SequenceKind.TYPE1:
+        return total - n
+    if kind is SequenceKind.TYPE2:
+        np.floor_divide(m, primes, out=primes)
+        return m * n - total - int(primes.sum()) + n
+    raise AssertionError(kind)  # pragma: no cover
+
+
 def count_R(kind: SequenceKind, m: int) -> int:
     """Exact number of members with denominator at most m, without enumeration."""
     if m < 1:
@@ -144,7 +166,9 @@ def count_R(kind: SequenceKind, m: int) -> int:
         return 0
     if kind is SequenceKind.SQUAREFREE_BOTH:
         return _count_squarefree_both(m)
-    return int(_cumulative(kind, m)[m])
+    if kind is SequenceKind.ALL_LOWEST_TERMS:
+        return int(_cumulative(kind, m)[m])
+    return _count_prime_kind(kind, m)
 
 
 def _aks_dup_at(i: int) -> tuple[int, int]:
@@ -170,17 +194,24 @@ def _bisect_den(i: int, count: Callable[[int], int]) -> int:
     return hi
 
 
+#: candidate numerators members_at sieves in one _member_rows call
+ROW_GROUP = 1 << 18
+
+
 def members_at(kind: SequenceKind, indices: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray]:
     """(num, den) int64 arrays of the members at the given 1-based indices.
 
     The denominator comes from a searchsorted on the cumulative count (a
     bisection over count_R for squarefree, which has no per-denominator
-    count), the numerator from that denominator's row of members_block,
-    built once for each distinct denominator, so the tables reach the
-    largest denominator only.  Since count_R(kind, m) <= m(m-1)/2, index i
-    needs a denominator of at least sqrt(2i): an index that puts this
-    bound past the sieve limit is refused before any table is built.
+    count), the numerator from that denominator's row of members_block.
+    The rows of the distinct denominators are built in ascending groups of
+    at most ROW_GROUP candidate numerators (d - 1 bounds a row of any
+    kind; a longer row makes a group of its own), and each group's indices
+    read their numerators in one gather, so the tables reach the largest
+    denominator only.  Since count_R(kind, m) <= m(m-1)/2, index i needs a
+    denominator of at least sqrt(2i): an index that puts this bound past
+    the sieve limit is refused before any table is built.
     """
     if not len(indices):
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -208,20 +239,29 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
         dens = np.searchsorted(cum, idx)
         below = cum[dens - 1]
     offsets = idx - below - 1
-    nums = np.empty_like(dens)
     order = np.argsort(dens, kind="stable")
-    sorted_dens = dens[order]
-    starts = np.flatnonzero(np.diff(sorted_dens, prepend=0)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(order)]):
-        d = int(sorted_dens[lo])
-        rows = order[lo:hi]
-        nums[rows] = members_block(kind, d, d + 1)[0][offsets[rows]]
+    rows = np.unique(dens)
+    # row j's indices are order[first_index[j]:first_index[j + 1]], and the
+    # rows before it have first_candidate[j] candidate numerators at most
+    first_index = np.append(np.searchsorted(dens[order], rows), len(order))
+    first_candidate = np.concatenate(([0], np.cumsum(rows - 1)))
+    nums = np.empty_like(dens)
+    a = 0
+    while a < len(rows):
+        b = max(a + 1, int(np.searchsorted(
+            first_candidate, first_candidate[a] + ROW_GROUP, side="right")) - 1)
+        num, den = _member_rows(kind, rows[a:b])
+        group = order[first_index[a]:first_index[b]]
+        nums[group] = num[np.searchsorted(den, dens[group]) + offsets[group]]
+        a = b
     return nums, dens
 
 
 def index_of(kind: SequenceKind, r: Member) -> int:
     """1-based index of a member within its kind's ordering: the count
-    below its denominator plus its place in that denominator's row."""
+    below its denominator plus its place in that denominator's row.  The
+    count is read, as members_at reads it, from the cumulative count on the
+    tables that the row needed (from count_R for squarefree)."""
     if isinstance(r, Rational):
         num, den = r.num, r.den
     else:
@@ -232,7 +272,10 @@ def index_of(kind: SequenceKind, r: Member) -> int:
         row = members_block(kind, den, den + 1)[0]
         pos = int(np.searchsorted(row, num))
         if pos < len(row) and row[pos] == num:
-            return count_R(kind, den - 1) + pos + 1
+            below = (count_R(kind, den - 1)
+                     if kind is SequenceKind.SQUAREFREE_BOTH
+                     else int(_cumulative(kind, den - 1)[den - 1]))
+            return below + pos + 1
     raise ValueError(f"{num}/{den} is not a member of {kind.value}")
 
 
@@ -264,15 +307,23 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int, half: bool = False
     d_lo = max(d_lo, 2)
     if d_hi <= d_lo:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    return _member_rows(kind, np.arange(d_lo, d_hi, dtype=np.int64), half)
+
+
+def _member_rows(kind: SequenceKind, dens: np.ndarray, half: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """members_block over the rows of dens, a non-empty ascending int64
+    array of distinct denominators >= 2; those that are not the kind's
+    denominators give no row."""
+    d_hi = int(dens[-1]) + 1
     tables = get_tables(d_hi - 1)
     isp = tables.is_prime
     sf = tables.is_squarefree
 
-    dens = np.arange(d_lo, d_hi, dtype=np.int64)
     if kind in (SequenceKind.TYPE1, SequenceKind.TYPE3):
-        dens = dens[isp[d_lo:d_hi]]
+        dens = dens[isp[dens]]
     elif kind is SequenceKind.SQUAREFREE_BOTH:
-        dens = dens[sf[d_lo:d_hi]]
+        dens = dens[sf[dens]]
     prime_nums = kind in (SequenceKind.TYPE2, SequenceKind.TYPE3)
     top = dens // 2 if half else dens - 1  # the largest candidate numerator
     if prime_nums:

@@ -69,6 +69,23 @@ class ArithTables:
 _COFACTOR_CHUNK = 1 << 16
 
 
+def prime_sieve(limit: int) -> np.ndarray:
+    """is_prime on 0..limit (inclusive), by the sieve of Eratosthenes.
+
+    A limit above SIEVE_LIMIT_MAX is refused before anything is allocated.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if limit > SIEVE_LIMIT_MAX:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
+    isp = np.ones(limit + 1, dtype=bool)
+    isp[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if isp[p]:
+            isp[p * p::p] = False
+    return isp
+
+
 def build_tables(limit: int) -> ArithTables:
     """Sieve all four tables up to limit (inclusive).
 
@@ -77,25 +94,16 @@ def build_tables(limit: int) -> ArithTables:
     the one prime factor above sqrt(limit) that a number can have, and one
     chunked pass folds that factor in.  phi is int32: phi(n) <= limit.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > SIEVE_LIMIT_MAX:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
+    isp = prime_sieve(limit)
     n = limit + 1
     root = math.isqrt(limit)
-    isp = np.ones(n, dtype=bool)
-    isp[:2] = False
     sf = np.ones(n, dtype=bool)
     sf[0] = False
-    for p in range(2, root + 1):
-        if isp[p]:
-            isp[p * p::p] = False
-            sf[p * p::p * p] = False
-
     phi = np.arange(n, dtype=np.int32)
     omega = np.zeros(n, dtype=np.int8)
     cofactor = np.arange(n, dtype=np.int32)
     for p in np.nonzero(isp[:root + 1])[0].tolist():
+        sf[p * p::p * p] = False
         # in-place on views: phi of every multiple of p is still divisible by p
         view = phi[p::p]
         view //= p

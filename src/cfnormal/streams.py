@@ -538,6 +538,11 @@ def _continuant_products(a: np.ndarray, bounds: np.ndarray
     return list(zip(*(x[:, 0].tolist() for x in nodes)))
 
 
+def _check_digit(a) -> None:
+    if not 1 <= a < 2 ** 63 or a != int(a):
+        raise ValueError("digits must be integers in 1..2**63 - 1")
+
+
 class GrowthTracker:
     """Running log of the continuant q_n of the digits seen so far.
 
@@ -573,8 +578,7 @@ class GrowthTracker:
         self._ratio_start = self.ratio
 
     def update(self, a: int) -> None:
-        if not 1 <= a < 2 ** 63 or a != int(a):
-            raise ValueError("digits must be integers in 1..2**63 - 1")
+        _check_digit(a)
         t = a + self.ratio
         self.logq += math.log(t)
         self.ratio = 1.0 / t
@@ -586,11 +590,16 @@ class GrowthTracker:
 
     def update_many(self, digits: Iterable[int]) -> None:
         """update() on each digit in turn, at most GROWTH_CHUNK digits at a
-        time; every digit is checked before any state changes."""
-        a = (np.asarray(digits, dtype=np.int64) if isinstance(digits, np.ndarray)
-             else np.fromiter(digits, np.int64))
-        if len(a) and a.min() < 1:
+        time; every digit is checked before any state changes.  Signed
+        integer arrays need only their minimum checked; anything else is
+        checked digit by digit, as update checks it."""
+        a = digits if isinstance(digits, np.ndarray) else np.array(list(digits))
+        if a.dtype.kind != "i":
+            for x in a.tolist():
+                _check_digit(x)
+        elif len(a) and a.min() < 1:
             raise ValueError("digits must be >= 1")
+        a = a.astype(np.int64, copy=False)
         lo = 0
         while lo < len(a):
             size = GROWTH_CHUNK

@@ -394,6 +394,18 @@ class TestCounters:
         assert out == "6\n"
         jsonschema.validate(json.loads(out), load_schema("count"))
 
+    @pytest.mark.parametrize("kind,count", [("type1", 3203324329777),
+                                            ("type2", 3442435539906),
+                                            ("type3", 220832291331)])
+    def test_prime_kind_count_reads_only_the_prime_sieve(self, cli_peak,
+                                                          kind, count):
+        # the whole phi/omega/squarefree tables up to m peaked at about
+        # 250-330 MB here; the prime sieve and its primes near 50 MB
+        code, out, peak_mb = cli_peak(["count", "--kind", kind,
+                                       "-m", str(10 ** 7)])
+        assert (code, out) == (0, f"{count}\n")
+        assert peak_mb < 100, f"count peak RSS {peak_mb:.0f} MB >= 100 MB"
+
     def test_piprime_linear(self, capsys):
         # 4l+1 is prime for l = 1, 3, 4, 7 and no other l <= 8
         out = run_ok(capsys, ["piprime", "-x", "8", "-q", "4", "-a", "1"]).out
@@ -449,6 +461,12 @@ class TestExitCodes:
     def test_resource_guard(self, capsys):
         assert main(["census", "--kind", "all", "-m", "40000",
                      "--eps", "0.25"]) == 4
+        assert "resource limit" in capsys.readouterr().err
+
+    def test_count_past_the_sieve_limit_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["count", "--kind", "type2", "-m", "200000000"]) == 4
+        assert time.perf_counter() - start < 1.0
         assert "resource limit" in capsys.readouterr().err
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfnormal import enumeration
+from cfnormal import enumeration, sieves
 from cfnormal.core import Rational
 from cfnormal.enumeration import (SequenceKind, count_R, enumerate_R,
                                   index_of, iter_members, members_at,
@@ -228,8 +228,36 @@ def test_count_exact_values_at_scale():
     assert count_R(SequenceKind.SQUAREFREE_BOTH, 200_000) == 5734572545
 
 
+PRIME_KINDS = (SequenceKind.TYPE1, SequenceKind.TYPE2, SequenceKind.TYPE3)
+
+
+@pytest.mark.parametrize("kind", PRIME_KINDS)
+def test_prime_kind_counts_match_the_cumulative_tables(kind):
+    cum = enumeration._cumulative(kind, 3000)
+    assert [count_R(kind, m) for m in range(1, 3001)] == cum[1:3001].tolist()
+
+
+def test_prime_kind_counts_build_no_tables(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("build_tables called")
+    monkeypatch.setattr(sieves, "_CACHED", None)
+    monkeypatch.setattr(sieves, "build_tables", refuse)
+    assert count_R(SequenceKind.TYPE2, 10 ** 6) == 40944822767
+
+
 @pytest.mark.parametrize("kind", list(SequenceKind))
-def test_index_path_agrees_with_members_block(kind):
+@pytest.mark.parametrize("row_group", [enumeration.ROW_GROUP, 40_000, 1_500])
+def test_index_path_agrees_with_members_block(kind, row_group, monkeypatch):
+    # 40_000 candidates split the picks' rows into several groups; at 1_500
+    # every row above denominator 1501 is longer than a group and sits alone
+    monkeypatch.setattr(enumeration, "ROW_GROUP", row_group)
+    groups = []
+    member_rows = enumeration._member_rows
+
+    def recording(kind, dens, half=False):
+        groups.append(dens.tolist())
+        return member_rows(kind, dens, half)
+    monkeypatch.setattr(enumeration, "_member_rows", recording)
     num, den = members_block(kind, 2, 2001)
     top = count_R(kind, 2000)
     assert top == len(num)
@@ -240,9 +268,21 @@ def test_index_path_agrees_with_members_block(kind):
         member = _pick(kind, num[i - 1], den[i - 1])
         assert rational_at(kind, i) == member
         assert index_of(kind, member) == i
+    groups.clear()
     got_num, got_den = members_at(kind, picks.tolist())
     assert np.array_equal(got_num, num[picks - 1])
     assert np.array_equal(got_den, den[picks - 1])
+    if kind is not SequenceKind.ALL_WITH_DUPLICATES:
+        assert [d for g in groups for d in g] == sorted(set(den[picks - 1]))
+        if row_group < enumeration.ROW_GROUP:
+            assert len(groups) >= 3
+        if row_group == 1_500:
+            assert [int(den[top - 1])] in groups
+    # repeated and unsorted indices, the last rows' members among them
+    mixed = np.concatenate([picks[::-1], picks[:50], [top, top, 1, top - 1]])
+    got_num, got_den = members_at(kind, mixed.tolist())
+    assert np.array_equal(got_num, num[mixed - 1])
+    assert np.array_equal(got_den, den[mixed - 1])
 
 
 def test_round_trip_at_a_billion():

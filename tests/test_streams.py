@@ -453,6 +453,27 @@ class TestGrowthTracker:
             tracker.update_many(np.array([1, 5, 9, 2, 0, 6]))
         assert _growth_state(tracker) == before
 
+    def test_update_many_refuses_a_fractional_digit(self):
+        # np.fromiter truncated 2.5 to 2, and logq came out as ln 5
+        tracker = GrowthTracker(audit_interval=10)
+        tracker.update_many([3, 1, 4])
+        before = _growth_state(tracker)
+        with pytest.raises(ValueError):
+            tracker.update_many([2.5, 1, 1])
+        assert _growth_state(tracker) == before
+        assert tracker._window == [3, 1, 4]
+
+    def test_update_many_refuses_a_digit_past_int64(self):
+        # np.fromiter raised OverflowError on 2**63
+        tracker = GrowthTracker(audit_interval=10)
+        tracker.update_many([3, 1, 4])
+        before = _growth_state(tracker)
+        with pytest.raises(ValueError):
+            tracker.update_many([1, 2 ** 63])
+        assert _growth_state(tracker) == before
+        tracker.update_many([2 ** 63 - 1])
+        assert tracker.n == 4
+
 
 def _growth_state(tracker):
     return (tracker.logq, tracker.ratio, tracker.n, tracker.max_audit_rel_err)
