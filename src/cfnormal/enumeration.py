@@ -9,10 +9,9 @@ times; every other kind ranges over rationals in lowest terms.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -84,12 +83,14 @@ def enumerate_R(kind: SequenceKind, m: int) -> Iterator[Member]:
 
 
 def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:
-    """Members with denominator d, for d = 0..tables.limit (not squarefree)."""
+    """Members with denominator d, for d = 0..tables.limit."""
     isp = tables.is_prime
     if kind is SequenceKind.ALL_LOWEST_TERMS:
         counts = tables.phi.astype(np.int64)
         counts[:2] = 0
         return counts
+    if kind is SequenceKind.SQUAREFREE_BOTH:
+        return _squarefree_counts(tables)
     if kind is SequenceKind.TYPE1:
         return np.where(isp, np.arange(tables.limit + 1, dtype=np.int64) - 1, 0)
     pi = np.cumsum(isp, dtype=np.int64)
@@ -103,16 +104,49 @@ def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:
     raise AssertionError(kind)  # pragma: no cover
 
 
+def _squarefree_counts(tables: ArithTables) -> np.ndarray:
+    """Squarefree numerators n < d prime to d, for squarefree d; else 0.
+
+    By inclusion-exclusion over e | d, c(d) = sum_{e|d} mu(e) T(e, d-1),
+    with T(e, x) the squarefree multiples of e up to x.  Each e <= sqrt(m)
+    takes one cumsum over its multiples.  The multiples je of the e above
+    sqrt(m) have j < sqrt(m): one strided pass per j adds the running
+    mu(e) T(e, je-1), then advances it by mu(e) [je squarefree] = mu(j) mu(je).
+    """
+    m = tables.limit
+    sf = tables.is_squarefree
+    mob = 1 - 2 * (tables.omega & 1)
+    mob[~sf] = 0
+    root = math.isqrt(m)
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for e in np.flatnonzero(sf[:root + 1]).tolist():
+        below = np.cumsum(sf[e::e])  # below[j - 1] = T(e, (j + 1)e - 1)
+        counts[2 * e::e] += int(mob[e]) * below[:-1]
+    run = mob[root + 1:].astype(np.int64)  # mu(e) T(e, je-1) for e > root
+    for j in range(2, m // (root + 1) + 1):
+        top = m // j
+        multiples = slice(j * (root + 1), j * top + 1, j)
+        counts[multiples] += run[:top - root]
+        if mob[j]:
+            run[:top - root] += int(mob[j]) * mob[multiples]
+    counts[~sf] = 0
+    return counts
+
+
+_CUMULATIVE: dict[SequenceKind, np.ndarray] = {}
+
+
 def _cumulative(kind: SequenceKind, m: int) -> np.ndarray:
     """cum[d] = count_R(kind, d) for d = 0..limit of the shared tables,
-    which cover at least m; kept on the tables, so growing them rebuilds it.
-    members_at and index_of read it for every kind but squarefree, count_R
-    for all only; the tests hold count_R's prime-kind sums to it."""
+    which cover at least m; rebuilt when the tables have grown.  members_at
+    and index_of read it for every kind but aks-dup, count_R for all only;
+    the tests hold count_R's other sums to it."""
     tables = get_tables(m)
-    if kind not in tables.cumulative:
+    cum = _CUMULATIVE.get(kind)
+    if cum is None or len(cum) != tables.limit + 1:
         counts = _per_den_counts(kind, tables)
-        tables.cumulative[kind] = np.cumsum(counts, out=counts)
-    return tables.cumulative[kind]
+        cum = _CUMULATIVE[kind] = np.cumsum(counts, out=counts)
+    return cum
 
 
 def _count_squarefree_both(m: int) -> int:
@@ -178,22 +212,6 @@ def _aks_dup_at(i: int) -> tuple[int, int]:
     return (i - k * (k - 1) // 2, k + 1)
 
 
-def _bisect_den(i: int, count: Callable[[int], int]) -> int:
-    """Smallest m with count(m) >= i, by bisection."""
-    lo, hi = 1, max(2, math.isqrt(2 * i))
-    while count(hi) < i:
-        if hi >= SIEVE_LIMIT_MAX:
-            raise ResourceLimitError(f"index {i} lies beyond the sieve limit")
-        lo, hi = hi, min(2 * hi, SIEVE_LIMIT_MAX)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if count(mid) >= i:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 #: candidate numerators members_at sieves in one _member_rows call
 ROW_GROUP = 1 << 18
 
@@ -202,9 +220,8 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray]:
     """(num, den) int64 arrays of the members at the given 1-based indices.
 
-    The denominator comes from a searchsorted on the cumulative count (a
-    bisection over count_R for squarefree, which has no per-denominator
-    count), the numerator from that denominator's row of members_block.
+    The denominator comes from a searchsorted on the cumulative count, the
+    numerator from that denominator's row of members_block.
     The rows of the distinct denominators are built in ascending groups of
     at most ROW_GROUP candidate numerators (d - 1 bounds a row of any
     kind; a longer row makes a group of its own), and each group's indices
@@ -226,19 +243,11 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
             f"index {top} needs a denominator above the sieve limit "
             f"{SIEVE_LIMIT_MAX}")
     idx = np.asarray(indices, dtype=np.int64)
-    if kind is SequenceKind.SQUAREFREE_BOTH:
-        count = functools.lru_cache(maxsize=None)(
-            functools.partial(count_R, kind))
-        dens = np.array([_bisect_den(i, count) for i in idx.tolist()],
-                        dtype=np.int64)
-        below = np.array([count(d - 1) for d in dens.tolist()], dtype=np.int64)
-    else:
-        cum = _cumulative(kind, max(2, math.isqrt(2 * top)))
-        while cum[-1] < top:
-            cum = _cumulative(kind, len(cum))
-        dens = np.searchsorted(cum, idx)
-        below = cum[dens - 1]
-    offsets = idx - below - 1
+    cum = _cumulative(kind, max(2, math.isqrt(2 * top)))
+    while cum[-1] < top:
+        cum = _cumulative(kind, len(cum))
+    dens = np.searchsorted(cum, idx)
+    offsets = idx - cum[dens - 1] - 1
     order = np.argsort(dens, kind="stable")
     rows = np.unique(dens)
     # row j's indices are order[first_index[j]:first_index[j + 1]], and the
@@ -261,7 +270,7 @@ def index_of(kind: SequenceKind, r: Member) -> int:
     """1-based index of a member within its kind's ordering: the count
     below its denominator plus its place in that denominator's row.  The
     count is read, as members_at reads it, from the cumulative count on the
-    tables that the row needed (from count_R for squarefree)."""
+    tables that the row needed."""
     if isinstance(r, Rational):
         num, den = r.num, r.den
     else:
@@ -272,10 +281,7 @@ def index_of(kind: SequenceKind, r: Member) -> int:
         row = members_block(kind, den, den + 1)[0]
         pos = int(np.searchsorted(row, num))
         if pos < len(row) and row[pos] == num:
-            below = (count_R(kind, den - 1)
-                     if kind is SequenceKind.SQUAREFREE_BOTH
-                     else int(_cumulative(kind, den - 1)[den - 1]))
-            return below + pos + 1
+            return int(_cumulative(kind, den - 1)[den - 1]) + pos + 1
     raise ValueError(f"{num}/{den} is not a member of {kind.value}")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -55,8 +55,6 @@ class ArithTables:
     phi: np.ndarray
     is_squarefree: np.ndarray
     omega: np.ndarray
-    #: per-kind cumulative member counts over 0..limit, kept by enumeration
-    cumulative: dict = field(default_factory=dict, repr=False, compare=False)
 
     def phi_summatory(self, m: int) -> int:
         """Phi(m) = sum of phi(n) for 1 <= n <= m."""

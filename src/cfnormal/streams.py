@@ -484,28 +484,20 @@ def _ratio_recurrence(a: np.ndarray, ratio: float) -> np.ndarray:
     return t.T.ravel()[:n]
 
 
-def _continuant_products(a: np.ndarray, bounds: np.ndarray
-                         ) -> list[tuple[int, int]]:
+def _continuant_products(a: np.ndarray) -> list[tuple[int, int]]:
     """First column (P11, P21) of the exact product of [[a_i, 1], [1, 0]]
-    over each a[bounds[s]:bounds[s+1]].
+    over each row of the two-dimensional int64 array a.
 
-    A pairwise tree, vectorised over the segments: segment s fills row s
-    from the left and identities pad the rows to one width.  No entry of a
-    product exceeds the product of (a_i + 1), so a product is taken in int64
-    while log2 of that bound is below _INT64_PRODUCT_BITS.  The first level
-    where some product reaches it takes those in Python ints, and every
-    level above holds Python ints.
+    A pairwise tree, vectorised over the rows.  No entry of a product
+    exceeds the product of (a_i + 1), so a product is taken in int64 while
+    log2 of that bound is below _INT64_PRODUCT_BITS.  The first level where
+    some product reaches it takes those in Python ints, and every level
+    above holds Python ints.
     """
-    lens = np.diff(bounds)
-    valid = np.arange(lens.max()) < lens[:, None]
-    digits = a[bounds[0]:bounds[-1]]
-    p11 = np.ones(valid.shape, dtype=np.int64)
-    p11[valid] = digits
-    p12 = valid.astype(np.int64)
-    nodes = [p11, p12, p12, 1 - p12]
+    ones = np.ones_like(a)
+    nodes = [a, ones, ones, np.zeros_like(a)]
     # float32 is close enough: the bound keeps a whole bit below 2**63
-    bits = np.zeros(valid.shape, dtype=np.float32)
-    bits[valid] = np.log2(digits.astype(np.float32) + np.float32(1.0))
+    bits = np.log2(a.astype(np.float32) + np.float32(1.0))
     while nodes[0].shape[1] > 1:
         carry = nodes[0].shape[1] % 2
         if carry:
@@ -617,18 +609,17 @@ class GrowthTracker:
         n0 = self.n
         kept = len(self._window)
         window = np.concatenate((self._window, a)) if kept else a
-        # the audits fall after these many digits of the open window
-        ends = np.arange(self.audit_interval, len(window) + 1,
-                         self.audit_interval)
-        lo = 0
-        if len(ends):
-            columns = _continuant_products(window, np.concatenate(([0], ends)))
-            for hi, (w11, w21) in zip((ends - kept).tolist(), columns):
+        size = self.audit_interval
+        lo = len(window) - len(window) % size  # the digits of whole windows
+        if lo:
+            columns = _continuant_products(window[:lo].reshape(-1, size))
+            # the audits fall after these many digits of the chunk
+            ends = range(size - kept, lo - kept + 1, size)
+            for hi, (w11, w21) in zip(ends, columns):
                 self.n = n0 + hi
                 self.logq = float(logq[hi - 1])
                 self.ratio = float(1.0 / t[hi - 1])
                 self._audit(w11, w21)
-            lo = int(ends[-1])
         self._window = window[lo:].tolist()
         self.n = n0 + len(a)
         self.logq = float(logq[-1])

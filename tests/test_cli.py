@@ -227,6 +227,32 @@ class TestStreamFile:
         out = run_ok(capsys, ["stream-file", str(src), "--header"]).out
         assert out.startswith("cfdigits v1 kind=indices conv=long\n")
 
+    @staticmethod
+    def _no_members(monkeypatch):
+        def no_members(*args):
+            raise AssertionError("indices resolved before --out was opened")
+        monkeypatch.setattr(cli, "members_at", no_members)
+
+    def test_unwritable_out_fails_before_any_member(self, tmp_path,
+                                                    monkeypatch, capsys):
+        self._no_members(monkeypatch)
+        src = tmp_path / "indices.txt"
+        src.write_text("1 2 3")
+        target = tmp_path / "no" / "such" / "digits.txt"
+        assert main(["stream-file", str(src), "--out", str(target)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_bad_token_leaves_the_out_file(self, tmp_path, monkeypatch,
+                                           capsys):
+        self._no_members(monkeypatch)
+        src = tmp_path / "indices.txt"
+        src.write_text("1 two 3")
+        target = tmp_path / "digits.txt"
+        target.write_bytes(b"kept")
+        assert main(["stream-file", str(src), "--out", str(target)]) == 2
+        assert "non-integer" in capsys.readouterr().err
+        assert target.read_bytes() == b"kept"
+
 
 class TestStreamFileBlockPath:
     """stream-file resolves every index at once and runs digit_matrix; the

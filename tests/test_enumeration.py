@@ -231,10 +231,28 @@ def test_count_exact_values_at_scale():
 PRIME_KINDS = (SequenceKind.TYPE1, SequenceKind.TYPE2, SequenceKind.TYPE3)
 
 
-@pytest.mark.parametrize("kind", PRIME_KINDS)
+@pytest.mark.parametrize("kind", PRIME_KINDS + (SF,))
 def test_prime_kind_counts_match_the_cumulative_tables(kind):
     cum = enumeration._cumulative(kind, 3000)
     assert [count_R(kind, m) for m in range(1, 3001)] == cum[1:3001].tolist()
+
+
+@pytest.mark.parametrize("limit", [1024, 2025, 3000])
+def test_squarefree_counts_per_denominator(limit):
+    # the tables' floor, a square, and a limit that is not one
+    counts = enumeration._per_den_counts(SF, sieves.build_tables(limit))
+    _, den = members_block(SF, 2, limit + 1)
+    assert counts.tolist() == np.bincount(den, minlength=limit + 1).tolist()
+
+
+def test_cumulative_follows_the_tables(monkeypatch):
+    monkeypatch.setattr(sieves, "_CACHED", None)
+    monkeypatch.setattr(enumeration, "_CUMULATIVE", {})
+    assert len(enumeration._cumulative(SF, 100)) == 1025
+    get_tables(3000)
+    cum = enumeration._cumulative(SF, 100)
+    assert len(cum) == get_tables(1).limit + 1
+    assert int(cum[3000]) == count_R(SF, 3000)
 
 
 def test_prime_kind_counts_build_no_tables(monkeypatch):
@@ -261,6 +279,10 @@ def test_index_path_agrees_with_members_block(kind, row_group, monkeypatch):
     num, den = members_block(kind, 2, 2001)
     top = count_R(kind, 2000)
     assert top == len(num)
+
+    def refuse(*args):
+        raise AssertionError("the index path called count_R")
+    monkeypatch.setattr(enumeration, "count_R", refuse)
     rng = np.random.default_rng(20260518)
     picks = np.concatenate([[1, 2, top - 1, top],
                             rng.integers(1, top, size=200, endpoint=True)])
