@@ -19,7 +19,7 @@ import numpy as np
 
 from .census import NormalityParams, resolve_threads, run_census
 from .core import Convention, Rational, convergents, expand
-from .enumeration import SequenceKind, count_R, members_at
+from .enumeration import SequenceKind, check_indices, count_R, members_at
 from .errors import ResourceLimitError
 from .measures import Pattern, constants
 from .sieves import pi_prime_joint, pi_prime_linear
@@ -67,20 +67,41 @@ def _emit_digits(digits: Union[Sequence[int], np.ndarray, Iterator[np.ndarray]],
         if args.header:
             out.write(format_header(kind, args.conv).encode("ascii") + b"\n")
         blocks = digits if isinstance(digits, Iterator) else (digits,)
-        sep = b""
+        skip = 1  # the separator before the first digit is not written
         step = 1 << 16
         for block in blocks:
             values = np.asarray(block, dtype=np.int64)
             if args.varint:
                 out.write(encode_varints(values))
             else:
-                # formatting a slice at a time keeps one Python object per
-                # digit from existing for the whole block at once
+                # a slice at a time keeps the text buffer small
                 for i in range(0, len(values), step):
-                    out.write(sep + " ".join(
-                        map(str, values[i:i + step].tolist())).encode("ascii"))
-                    sep = b" "
+                    out.write(_decimal(values[i:i + step])[skip:].tobytes())
+                    skip = 0
             del block, values  # freed before the next block is computed
+
+
+#: 10, 100, ..., 10**18: a value v >= 0 has 1 + searchsorted(v, "right") digits
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """ASCII of " " + str(v) for each v of a non-empty int64 array of values
+    >= 0, as one uint8 buffer.  The digits are written from the last place
+    up: one divmod by 10 per place over the values still that long."""
+    if values.min() < 0:
+        raise ValueError("the decimal dump takes nonnegative digits")
+    width = np.searchsorted(_POWERS_OF_TEN, values, side="right") + 2
+    place = np.cumsum(width) - 1  # the last place of each value
+    text = np.full(int(place[-1]) + 1, ord(" "), dtype=np.uint8)
+    rest = values
+    while len(rest):
+        rest, digit = np.divmod(rest, 10)
+        text[place] = digit + ord("0")
+        longer = rest > 0
+        rest = rest[longer]
+        place = place[longer] - 1
+    return text
 
 
 def _emit_json(path: Optional[str], doc) -> None:
@@ -114,7 +135,9 @@ def cmd_stream_file(args: argparse.Namespace) -> int:
         indices = [int(t) for t in tokens]
     except ValueError:
         raise ValueError(f"index file {args.path!r} holds non-integer tokens")
-    # open the dump first: an unwritable --out fails before any lookup
+    # a bad index fails before the dump is opened, and so leaves an existing
+    # --out as it was; an unwritable --out fails before any lookup
+    check_indices(SequenceKind.ALL_LOWEST_TERMS, indices)
     with _open_sink(args.out, binary=True) as sink:
         num, den = members_at(SequenceKind.ALL_LOWEST_TERMS, indices)
         digits, lengths = flat_digits(num, den, args.conv)

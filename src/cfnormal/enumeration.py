@@ -18,7 +18,7 @@ import numpy as np
 from .core import Rational
 from .errors import ResourceLimitError
 from .sieves import (SIEVE_LIMIT_MAX, ArithTables, factorize_distinct,
-                     get_tables, prime_sieve)
+                     get_tables, mobius_sieve, prime_sieve)
 
 Member = Union[Rational, tuple[int, int]]
 
@@ -149,26 +149,33 @@ def _cumulative(kind: SequenceKind, m: int) -> np.ndarray:
     return cum
 
 
+#: entries per pass of _count_squarefree_both's closing sum
+_SUM_CHUNK = 1 << 16
+
+
 def _count_squarefree_both(m: int) -> int:
     # Pairs (a, q), a < q <= m, both squarefree and coprime.  With
     # S_d = #{n <= m : d | n, n squarefree}, inclusion-exclusion over the
     # common divisor gives  sum_d mu(d) S_d^2  ordered pairs including (1,1),
     # hence (that sum - 1) / 2 pairs with a < q.  S_d takes one slice for
     # each d <= sqrt(m); for d > sqrt(m) the multiples are k * d with
-    # k < sqrt(m), one vectorised pass for each k.
-    tables = get_tables(m)
-    sf = tables.is_squarefree[:m + 1]
-    mob = 1 - 2 * (tables.omega[:m + 1] & 1)
-    mob[~sf] = 0
+    # k < sqrt(m), one vectorised pass for each k.  Only the Moebius sieve
+    # is built, and S_d <= m fits int32; the squares are summed in chunks.
+    mob = mobius_sieve(m)
+    sf = mob != 0
     root = math.isqrt(m)
-    s = np.zeros(m + 1, dtype=np.int64)
+    s = np.zeros(m + 1, dtype=np.int32)
     for d in range(1, root + 1):
         s[d] = np.count_nonzero(sf[d::d])
     above = s[root + 1:]
     for k in range(1, m // (root + 1) + 1):
         top = m // k
         above[:top - root] += sf[k * (root + 1):k * top + 1:k]
-    return (int(np.dot(mob, s * s)) - 1) // 2
+    total = 0
+    for lo in range(0, m + 1, _SUM_CHUNK):
+        chunk = s[lo:lo + _SUM_CHUNK].astype(np.int64)
+        total += int(np.dot(mob[lo:lo + _SUM_CHUNK], chunk * chunk))
+    return (total - 1) // 2
 
 
 def _count_prime_kind(kind: SequenceKind, m: int) -> int:
@@ -216,6 +223,22 @@ def _aks_dup_at(i: int) -> tuple[int, int]:
 ROW_GROUP = 1 << 18
 
 
+def check_indices(kind: SequenceKind, indices: Sequence[int]) -> None:
+    """Refuse what members_at would refuse, before any work: an index below
+    1 (ValueError), or for a sieved kind an index whose denominator bound
+    sqrt(2i) passes the sieve limit (ResourceLimitError)."""
+    if not len(indices):
+        return
+    if min(indices) < 1:
+        raise ValueError("indices are 1-based and must be >= 1")
+    top = max(indices)
+    if (kind is not SequenceKind.ALL_WITH_DUPLICATES
+            and 2 * top > SIEVE_LIMIT_MAX ** 2):
+        raise ResourceLimitError(
+            f"index {top} needs a denominator above the sieve limit "
+            f"{SIEVE_LIMIT_MAX}")
+
+
 def members_at(kind: SequenceKind, indices: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray]:
     """(num, den) int64 arrays of the members at the given 1-based indices.
@@ -232,16 +255,11 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
     """
     if not len(indices):
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if min(indices) < 1:
-        raise ValueError("indices are 1-based and must be >= 1")
+    check_indices(kind, indices)
     if kind is SequenceKind.ALL_WITH_DUPLICATES:
         pairs = np.array([_aks_dup_at(i) for i in indices], dtype=np.int64)
         return pairs[:, 0], pairs[:, 1]
     top = max(indices)
-    if 2 * top > SIEVE_LIMIT_MAX ** 2:
-        raise ResourceLimitError(
-            f"index {top} needs a denominator above the sieve limit "
-            f"{SIEVE_LIMIT_MAX}")
     idx = np.asarray(indices, dtype=np.int64)
     cum = _cumulative(kind, max(2, math.isqrt(2 * top)))
     while cum[-1] < top:
@@ -249,10 +267,12 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
     dens = np.searchsorted(cum, idx)
     offsets = idx - cum[dens - 1] - 1
     order = np.argsort(dens, kind="stable")
-    rows = np.unique(dens)
     # row j's indices are order[first_index[j]:first_index[j + 1]], and the
     # rows before it have first_candidate[j] candidate numerators at most
-    first_index = np.append(np.searchsorted(dens[order], rows), len(order))
+    ranked = dens[order]
+    first_index = np.concatenate(
+        ([0], np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, [len(order)]))
+    rows = ranked[first_index[:-1]]
     first_candidate = np.concatenate(([0], np.cumsum(rows - 1)))
     nums = np.empty_like(dens)
     a = 0

@@ -84,6 +84,39 @@ def prime_sieve(limit: int) -> np.ndarray:
     return isp
 
 
+def mobius_sieve(limit: int) -> np.ndarray:
+    """mu on 0..limit (inclusive) as int8, with mu(0) = 0, from the primes
+    p <= sqrt(limit) only.
+
+    Each p negates mu on its multiples and zeroes it on the multiples of
+    p^2, and an int32 array keeps the product of the small primes found.
+    A squarefree n whose product falls short of n has one prime factor
+    above sqrt(limit), and a chunked pass flips its sign.  A limit above
+    SIEVE_LIMIT_MAX is refused before anything is allocated.
+    """
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if limit > SIEVE_LIMIT_MAX:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
+    n = limit + 1
+    mob = np.ones(n, dtype=np.int8)
+    product = np.ones(n, dtype=np.int32)
+    for p in np.flatnonzero(prime_sieve(math.isqrt(limit))).tolist():
+        # in-place on views, as build_tables does
+        view = mob[p::p]
+        np.negative(view, out=view)
+        mob[p * p::p * p] = 0
+        view = product[p::p]
+        view *= p
+    for lo in range(0, n, _COFACTOR_CHUNK):
+        hi = min(lo + _COFACTOR_CHUNK, n)
+        view = mob[lo:hi]
+        np.negative(view, out=view,
+                    where=product[lo:hi] != np.arange(lo, hi, dtype=np.int32))
+    mob[0] = 0
+    return mob
+
+
 def build_tables(limit: int) -> ArithTables:
     """Sieve all four tables up to limit (inclusive).
 

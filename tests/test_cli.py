@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -180,6 +181,64 @@ class TestEmitDigits:
                 " ".join(str(d) for d in self.DIGITS)
 
 
+class TestDecimalDump:
+    """The text dump is formatted in numpy, a slice of 65,536 digits at a
+    time; its bytes are those of str and join."""
+
+    @staticmethod
+    def _values(size, seed):
+        # every width from 1 to 19 digits, 2**63 - 1 included
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 10 ** rng.integers(1, 19, size=size))
+        values[::97] = 2 ** 63 - 1
+        return values
+
+    @pytest.mark.parametrize("extra", [[], ["--header"]])
+    @pytest.mark.parametrize("digits", [
+        [], [7], [1, 9, 10, 99, 100, 10 ** 18, 2 ** 63 - 1],
+        "65535", "65536", "65537", "196609"])
+    def test_equals_str_join(self, digits, extra, tmp_path):
+        if isinstance(digits, str):
+            digits = self._values(int(digits), int(digits)).tolist()
+        target = tmp_path / "dump"
+        args = build_parser().parse_args(
+            ["stream", "--kind", "all", "-n", "1", "--out", str(target)]
+            + extra)
+        _emit_digits(np.array(digits, dtype=np.int64),
+                     SequenceKind.ALL_LOWEST_TERMS, args)
+        head = b"cfdigits v1 kind=all conv=long\n" if extra else b""
+        assert target.read_bytes() == head + " ".join(
+            map(str, digits)).encode("ascii")
+
+    def test_blocks_join_across_slices(self, tmp_path):
+        # blocks of 1, 65537 and 3 digits, and an empty one between them
+        values = self._values(65541, 11)
+        blocks = iter([values[:1], values[1:1], values[1:65538],
+                       values[65538:]])
+        target = tmp_path / "dump"
+        args = build_parser().parse_args(
+            ["stream", "--kind", "all", "-n", "1", "--out", str(target)])
+        _emit_digits(blocks, SequenceKind.ALL_LOWEST_TERMS, args)
+        assert target.read_bytes() == " ".join(
+            map(str, values.tolist())).encode("ascii")
+
+    def test_negative_digits_are_refused(self, tmp_path):
+        args = build_parser().parse_args(
+            ["stream", "--kind", "all", "-n", "1", "--out",
+             str(tmp_path / "dump")])
+        with pytest.raises(ValueError, match="nonnegative"):
+            _emit_digits([3, -1], SequenceKind.ALL_LOWEST_TERMS, args)
+
+    def test_text_equals_the_varint_dump(self, capsysbinary):
+        argv = ["stream", "--kind", "all", "-n", "200000"]
+        assert main(argv) == 0
+        text = capsysbinary.readouterr().out
+        assert main(argv + ["--varint"]) == 0
+        digits = decode_varints(capsysbinary.readouterr().out)
+        assert len(digits) == 200000
+        assert text == " ".join(map(str, digits)).encode("ascii")
+
+
 class TestStreamFile:
     def test_digits_and_ratio_report(self, tmp_path, capsys):
         src = tmp_path / "indices.txt"
@@ -252,6 +311,48 @@ class TestStreamFile:
         assert main(["stream-file", str(src), "--out", str(target)]) == 2
         assert "non-integer" in capsys.readouterr().err
         assert target.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("tokens,code", [("0 1", 2),
+                                             (f"5 {10 ** 17} 7", 4)])
+    def test_bad_index_leaves_the_out_file(self, tokens, code, tmp_path,
+                                           capsys):
+        src = tmp_path / "indices.txt"
+        src.write_text(tokens)
+        target = tmp_path / "digits.txt"
+        target.write_bytes(b"kept!")
+        assert main(["stream-file", str(src), "--out", str(target)]) == code
+        capsys.readouterr()
+        assert target.read_bytes() == b"kept!"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "digits.txt", "indices.txt"]
+
+    def test_success_writes_the_out_file_in_place(self, tmp_path, capsys):
+        # the file is truncated and written, not replaced: its mode and its
+        # hard links stay, and nothing else is left beside it
+        src = tmp_path / "indices.txt"
+        src.write_text("1 2 3 4 5")
+        target = tmp_path / "digits.txt"
+        target.write_bytes(b"stale")
+        target.chmod(0o640)
+        link = tmp_path / "link.txt"
+        os.link(target, link)
+        run_ok(capsys, ["stream-file", str(src), "--conv", "short",
+                        "--out", str(target), "--report",
+                        str(tmp_path / "ratios.json")])
+        assert target.read_bytes() == link.read_bytes() == b"2 3 1 2 4 1 3"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "digits.txt", "indices.txt", "link.txt", "ratios.json"]
+
+    def test_out_dev_stdout_writes_to_a_pipe(self, tmp_path):
+        src = tmp_path / "indices.txt"
+        src.write_text("1 2 3 4 5")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cfnormal.cli", "stream-file", str(src),
+             "--conv", "short", "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"2 3 1 2 4 1 3"
 
 
 class TestStreamFileBlockPath:
@@ -432,6 +533,14 @@ class TestCounters:
         assert (code, out) == (0, f"{count}\n")
         assert peak_mb < 100, f"count peak RSS {peak_mb:.0f} MB >= 100 MB"
 
+    def test_squarefree_count_reads_only_a_moebius_sieve(self, cli_peak):
+        # the whole phi/omega/squarefree tables peaked at 346 MB here; the
+        # Moebius sieve, its squarefree mask and the S_d array at about 90
+        code, out, peak_mb = cli_peak(["count", "--kind", "squarefree",
+                                       "-m", str(10 ** 7)])
+        assert (code, out) == (0, "14337485878614\n")
+        assert peak_mb < 150, f"count peak RSS {peak_mb:.0f} MB >= 150 MB"
+
     def test_piprime_linear(self, capsys):
         # 4l+1 is prime for l = 1, 3, 4, 7 and no other l <= 8
         out = run_ok(capsys, ["piprime", "-x", "8", "-q", "4", "-a", "1"]).out
@@ -494,6 +603,35 @@ class TestExitCodes:
         assert main(["count", "--kind", "type2", "-m", "200000000"]) == 4
         assert time.perf_counter() - start < 1.0
         assert "resource limit" in capsys.readouterr().err
+
+
+#: runs the stream, stats and count commands on tiny inputs in one
+#: interpreter, then prints whether numpy.ma was imported
+_IMPORT_PROBE = """
+import sys
+from cfnormal.cli import main
+indices, out = sys.argv[1:]
+for argv in (["stream-file", indices, "--out", out],
+             ["stream", "--kind", "squarefree", "-n", "50", "--out", out],
+             ["stream", "--kind", "all", "-n", "50", "--varint", "--out", out],
+             ["stats", "--kind", "all", "-n", "500", "--out", out],
+             ["count", "--kind", "all", "-m", "100"],
+             ["count", "--kind", "squarefree", "-m", "100"],
+             ["count", "--kind", "type2", "-m", "100"]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma lazily, about 15 ms per process, for a
+    # result these commands never use
+    src = tmp_path / "indices.txt"
+    src.write_text("1 7 300 12345 7")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(src),
+         str(tmp_path / "out")], capture_output=True, text=True, check=True)
+    assert proc.stdout.split()[-1] == "False"
 
 
 class TestInstalledEntryPoint:

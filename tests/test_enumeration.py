@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from cfnormal import enumeration, sieves
 from cfnormal.core import Rational
-from cfnormal.enumeration import (SequenceKind, count_R, enumerate_R,
-                                  index_of, iter_members, members_at,
+from cfnormal.enumeration import (SequenceKind, check_indices, count_R,
+                                  enumerate_R, index_of, iter_members, members_at,
                                   members_block, rational_at)
 from cfnormal.errors import ResourceLimitError
 from cfnormal.sieves import get_tables
@@ -263,6 +263,20 @@ def test_prime_kind_counts_build_no_tables(monkeypatch):
     assert count_R(SequenceKind.TYPE2, 10 ** 6) == 40944822767
 
 
+@pytest.mark.parametrize("m,count", [(2, 1), (3, 3), (10, 16), (1000, 143028),
+                                     (65536, 615824669),
+                                     (200_000, 5734572545)])
+def test_squarefree_count_builds_no_tables(m, count, monkeypatch):
+    # only the Moebius sieve: test_prime_kind_counts_match_the_cumulative_
+    # tables holds it to the per-denominator table for every m <= 3000
+    def refuse(limit):
+        raise AssertionError("tables built")
+    monkeypatch.setattr(sieves, "build_tables", refuse)
+    monkeypatch.setattr(sieves, "get_tables", refuse)
+    monkeypatch.setattr(enumeration, "get_tables", refuse)
+    assert count_R(SF, m) == count
+
+
 @pytest.mark.parametrize("kind", list(SequenceKind))
 @pytest.mark.parametrize("row_group", [enumeration.ROW_GROUP, 40_000, 1_500])
 def test_index_path_agrees_with_members_block(kind, row_group, monkeypatch):
@@ -328,6 +342,23 @@ def test_unreachable_index_is_refused_before_any_sieve():
     # aks-dup needs no tables, so any index resolves in closed form
     num, den = rational_at(SequenceKind.ALL_WITH_DUPLICATES, far)
     assert index_of(SequenceKind.ALL_WITH_DUPLICATES, (num, den)) == far
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_check_indices_refuses_what_members_at_refuses(kind):
+    far = 10 ** 17
+    bad = [[0, 1], [3, -2]]
+    if kind is not SequenceKind.ALL_WITH_DUPLICATES:
+        bad.append([5, far])
+    for indices in bad:
+        with pytest.raises(Exception) as checked:
+            check_indices(kind, indices)
+        with pytest.raises(type(checked.value), match=str(checked.value)):
+            members_at(kind, indices)
+    for indices in ([], [1, 2, 3], [2 * 10 ** 15]):
+        check_indices(kind, indices)
+    if kind is SequenceKind.ALL_WITH_DUPLICATES:
+        check_indices(kind, [far])
 
 
 @given(st.integers(1, 10 ** 30))

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cfnormal.sieves import (build_tables, coprime_count, get_tables, is_prime,
-                             phi_summatory, pi_prime_joint, pi_prime_linear)
+from cfnormal.errors import ResourceLimitError
+from cfnormal.sieves import (SIEVE_LIMIT_MAX, build_tables, coprime_count,
+                             get_tables, is_prime, mobius_sieve, phi_summatory,
+                             pi_prime_joint, pi_prime_linear)
 
 
 def _trial_division(n: int) -> bool:
@@ -68,6 +70,23 @@ class TestTables:
         assert big.limit >= 120
         assert np.array_equal(big.is_prime[:51], get_tables(50).is_prime[:51])
         assert small.limit >= 50
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 48, 49, 50, 961, 1000, 65537])
+def test_mobius_sieve_matches_the_tables(limit):
+    # limits at and around squares, as for the large prime factor pass
+    t = build_tables(limit)
+    mu = np.where(t.is_squarefree, 1 - 2 * (t.omega.astype(np.int8) & 1), 0)
+    got = mobius_sieve(limit)
+    assert got.dtype == np.int8
+    assert got.tolist() == mu.tolist()
+
+
+def test_mobius_sieve_limits():
+    with pytest.raises(ValueError):
+        mobius_sieve(0)
+    with pytest.raises(ResourceLimitError):
+        mobius_sieve(SIEVE_LIMIT_MAX + 1)
 
 
 def test_phi_summatory_oracles():
