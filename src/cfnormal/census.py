@@ -30,6 +30,9 @@ from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
 from .streams import BLOCK_PAIR_CAP, _euclid_counts, _window_hits
 
 CENSUS_ROW_LIMIT = 2 * 10 ** 8
+#: every kind's count_R here exceeds CENSUS_ROW_LIMIT (type3's is the least,
+#: 3.08e9), so the row guard never counts, or builds tables, past it
+ROW_COUNT_BOUND = 10 ** 6
 #: estimate_measure samples this many rows at a time
 SAMPLE_BLOCK = 1 << 16
 #: rows and depth of each Newton pilot run in _tune_theta
@@ -248,6 +251,19 @@ class CensusReport:
                 f"{s},{self.total},{self.abnormal},{self.ratio}")
 
 
+def _guarded_count(kind: SequenceKind, m: int, what: str) -> int:
+    """count_R(kind, m), refused with ResourceLimitError above
+    CENSUS_ROW_LIMIT; counted at min(m, ROW_COUNT_BOUND), so a refusal builds
+    no table that grows with m."""
+    top = min(m, ROW_COUNT_BOUND)
+    expected = count_R(kind, top)
+    if expected > CENSUS_ROW_LIMIT:
+        raise ResourceLimitError(
+            f"{what} exceeds the row limit {CENSUS_ROW_LIMIT}: {expected} "
+            f"members have a denominator up to {top}")
+    return expected
+
+
 def run_census(kind: SequenceKind, m: int, p: NormalityParams,
                threads: int = 1) -> CensusReport:
     """Classify every member with denominator up to m.
@@ -258,10 +274,7 @@ def run_census(kind: SequenceKind, m: int, p: NormalityParams,
     """
     if m < 3:
         raise ValueError("m must be >= 3")
-    expected = count_R(kind, m)
-    if expected > CENSUS_ROW_LIMIT:
-        raise ResourceLimitError(
-            f"census over {expected} members exceeds the row limit {CENSUS_ROW_LIMIT}")
+    expected = _guarded_count(kind, m, "census")
     start = time.perf_counter()
     tasks = [(kind.value, a, b, p.epsilon, p.s.digits, p.convention.value)
              for a, b in _den_chunks(m)]
@@ -375,11 +388,7 @@ def gamma_census(gp: GammaParams,
     """Count the exceptional rationals among all lowest-terms den <= m."""
     if gp.n < 1:
         raise ValueError("n_delta is 0 for these parameters")
-    expected = count_R(SequenceKind.ALL_LOWEST_TERMS, gp.m)
-    if expected > CENSUS_ROW_LIMIT:
-        raise ResourceLimitError(
-            f"gamma census over {expected} rationals exceeds the row limit "
-            f"{CENSUS_ROW_LIMIT}")
+    expected = _guarded_count(SequenceKind.ALL_LOWEST_TERMS, gp.m, "gamma census")
     total = members = 0
     for lo, hi in _den_chunks(gp.m):
         num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, lo, hi)

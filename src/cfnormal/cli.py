@@ -53,32 +53,28 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _emit_digits(digits: Union[Sequence[int], np.ndarray, Iterator[np.ndarray]],
                  kind: Optional[SequenceKind],
-                 args: argparse.Namespace, sink: Optional[BinaryIO] = None
-                 ) -> None:
-    """Write a digit dump: space-separated text or varint bytes, no trailing
-    newline, with the one-line header prepended when --header is set.
+                 args: argparse.Namespace, sink: BinaryIO) -> None:
+    """Write a digit dump to sink: space-separated text or varint bytes, no
+    trailing newline, with the one-line header prepended when --header is set.
 
     digits is one sequence of digits, or an iterator of digit blocks, each
-    written as it arrives.  The dump goes to `sink` if given, else to --out.
+    written as it arrives.
     """
-    opened = (_open_sink(args.out, binary=True) if sink is None
-              else contextlib.nullcontext(sink))
-    with opened as out:
-        if args.header:
-            out.write(format_header(kind, args.conv).encode("ascii") + b"\n")
-        blocks = digits if isinstance(digits, Iterator) else (digits,)
-        skip = 1  # the separator before the first digit is not written
-        step = 1 << 16
-        for block in blocks:
-            values = np.asarray(block, dtype=np.int64)
-            if args.varint:
-                out.write(encode_varints(values))
-            else:
-                # a slice at a time keeps the text buffer small
-                for i in range(0, len(values), step):
-                    out.write(_decimal(values[i:i + step])[skip:].tobytes())
-                    skip = 0
-            del block, values  # freed before the next block is computed
+    if args.header:
+        sink.write(format_header(kind, args.conv).encode("ascii") + b"\n")
+    blocks = digits if isinstance(digits, Iterator) else (digits,)
+    skip = 1  # the separator before the first digit is not written
+    step = 1 << 16
+    for block in blocks:
+        values = np.asarray(block, dtype=np.int64)
+        if args.varint:
+            sink.write(encode_varints(values))
+        else:
+            # a slice at a time keeps the text buffer small
+            for i in range(0, len(values), step):
+                sink.write(_decimal(values[i:i + step])[skip:].tobytes())
+                skip = 0
+        del block, values  # freed before the next block is computed
 
 
 #: 10, 100, ..., 10**18: a value v >= 0 has 1 + searchsorted(v, "right") digits

@@ -56,12 +56,6 @@ class ArithTables:
     is_squarefree: np.ndarray
     omega: np.ndarray
 
-    def phi_summatory(self, m: int) -> int:
-        """Phi(m) = sum of phi(n) for 1 <= n <= m."""
-        if not 1 <= m <= self.limit:
-            raise ValueError(f"need 1 <= m <= {self.limit}, got {m}")
-        return int(self.phi[1:m + 1].sum())
-
 
 #: entries per pass when the factor above sqrt(limit) is folded in
 _COFACTOR_CHUNK = 1 << 16
@@ -171,8 +165,10 @@ def get_tables(limit: int) -> ArithTables:
 
 
 def phi_summatory(m: int) -> int:
-    """Phi(m) over the shared tables."""
-    return get_tables(m).phi_summatory(m)
+    """Phi(m) = sum of phi(n) for 1 <= n <= m, over the shared tables."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    return int(get_tables(m).phi[1:m + 1].sum())
 
 
 def factorize_distinct(m: int) -> list[int]:

@@ -28,8 +28,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Convention, Rational, cf_digits, continuants
-from .enumeration import Member, SequenceKind, iter_members, members_block, rational_at
+from .core import Convention, cf_digits, continuants
+from .enumeration import SequenceKind, iter_members, members_block
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, GOLDEN, Pattern, gauss_measure, pattern_grid
 
@@ -43,58 +43,25 @@ MAX_PATTERNS = 10 ** 4
 
 
 class DigitStream:
-    """Scalar digit stream over a kind or an explicit index list.
+    """Scalar digit stream of a kind: core.cf_digits of each member in
+    enumeration order, the oracle that iter_digit_blocks is held to."""
 
-    Tracks enough bookkeeping to bracket any emitted digit position back to
-    the rational it came from: after the c-th digit, `rational_index` is the
-    1-based index M of the rational containing position c, `sum_len` is the
-    total digit length of members 1..M, and `max_len` their longest expansion.
-    """
-
-    def __init__(self, kind: Optional[SequenceKind] = None,
-                 convention: Convention = Convention.LONG,
-                 indices: Optional[Iterable[int]] = None):
-        if (kind is None) == (indices is None):
-            raise ValueError("give exactly one of kind or indices")
-        self.kind = kind
+    def __init__(self, kind: SequenceKind,
+                 convention: Convention = Convention.LONG):
         self.convention = convention
-        if indices is not None:
-            self._members: Iterator[Member] = self._indexed_members(indices)
-        else:
-            self._members = iter_members(kind)
+        self._members = iter_members(kind)
         self.position = 0
-        self.rational_index = 0
-        self.sum_len = 0
-        self.max_len = 0
         self._buf: deque[int] = deque()
-
-    @staticmethod
-    def _indexed_members(indices: Iterable[int]) -> Iterator[Member]:
-        cache: dict[int, Rational] = {}
-        for i in indices:
-            if i not in cache:
-                member = rational_at(SequenceKind.ALL_LOWEST_TERMS, i)
-                assert isinstance(member, Rational)
-                cache[i] = member
-            yield cache[i]
-
-    def _refill(self) -> None:
-        member = next(self._members)  # raises StopIteration on finite sources
-        # an aks-dup pair need not be reduced; its digits are the reduced value's
-        num, den = member if isinstance(member, tuple) else (member.num, member.den)
-        digs = cf_digits(num, den, self.convention)
-        self.rational_index += 1
-        self.sum_len += len(digs)
-        if len(digs) > self.max_len:
-            self.max_len = len(digs)
-        self._buf.extend(digs)
 
     def __iter__(self) -> "DigitStream":
         return self
 
     def __next__(self) -> int:
         while not self._buf:
-            self._refill()
+            member = next(self._members)
+            # an aks-dup pair need not be reduced; its digits are the reduced value's
+            num, den = member if isinstance(member, tuple) else (member.num, member.den)
+            self._buf.extend(cf_digits(num, den, self.convention))
         self.position += 1
         return self._buf.popleft()
 
@@ -847,40 +814,35 @@ class RatioReport:
         return {"params": self.params, "rows": [r.to_json_dict() for r in self.rows]}
 
 
-def hypothesis_ratios(kind_or_stream: Union[SequenceKind, DigitStream],
+def hypothesis_ratios(kind: SequenceKind,
                       convention: Convention = Convention.LONG,
                       n: int = 10 ** 4) -> RatioReport:
     """The three diagnostic ratios N/sum L, N*max L/sum L, M/N at N, 2N, 4N.
 
     The first two vanishing and the last shrinking are what the aggregation
     argument for concatenated expansions needs; here they are just measured.
+    The expansion lengths come from _euclid_counts with no digit stored, over
+    denominator blocks of at most BLOCK_PAIR_CAP pairs, up to the block that
+    reaches 4N digits.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(kind_or_stream, DigitStream):
-        stream = kind_or_stream
-        params = {"conv": stream.convention.value, "N": n}
-        if stream.kind is not None:
-            params["kind"] = stream.kind.value
-    else:
-        stream = DigitStream(kind=kind_or_stream, convention=convention)
-        params = {"kind": kind_or_stream.value, "conv": convention.value, "N": n}
-    rows = []
-    for target in (n, 2 * n, 4 * n):
-        while stream.position < target:
-            try:
-                next(stream)
-            except StopIteration:
-                raise ValueError(
-                    f"stream ended at {stream.position} digits; need {target}")
-        rows.append(RatioRow(n=target, m=stream.rational_index,
-                             sum_len=stream.sum_len, max_len=stream.max_len))
-    return RatioReport(params=params, rows=rows)
+    lengths, have, d_lo = [], 0, 2
+    while have < 4 * n:
+        # density 1 and a digit a pair: no more pairs than digits missing
+        d_hi = _block_top(d_lo, 4 * n - have, 1.0, 1.0)
+        num, den = members_block(kind, d_lo, d_hi)
+        lengths.append(_euclid_counts(num, den, (), convention, 0)[0])
+        have += int(lengths[-1].sum())
+        d_lo = d_hi
+    report = length_ratios(np.concatenate(lengths), convention, n)
+    report.params["kind"] = kind.value
+    return report
 
 
 def length_ratios(lengths: np.ndarray, convention: Convention,
                   n: int) -> RatioReport:
-    """hypothesis_ratios of an index stream from its expansion lengths.
+    """The ratio rows of hypothesis_ratios from a stream's expansion lengths.
 
     lengths[j] is the digit count of the stream's (j+1)-th rational; the
     rational holding digit N is the first whose cumulative length reaches N.

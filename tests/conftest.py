@@ -28,6 +28,26 @@ ACCEPTANCE_PATTERNS = tuple(
 
 STREAM_N = 10 ** 6
 
+
+def ratio_rows(lengths, n):
+    """The ratio rows at N = n, 2n, 4n of a stream whose members have these
+    expansion lengths, as to_json_dict writes them, in a plain loop: M is the
+    first member whose running length reaches N."""
+    rows, targets = [], [n, 2 * n, 4 * n]
+    total = longest = 0
+    for m, length in enumerate(lengths, 1):
+        total += length
+        longest = max(longest, length)
+        while targets and total >= targets[0]:
+            t = targets.pop(0)
+            rows.append({"N": t, "M": m, "sum_len": total, "max_len": longest,
+                         "n_over_sum_len": t / total,
+                         "n_max_len_over_sum_len": t * longest / total,
+                         "m_over_n": m / t})
+        if not targets:
+            break
+    return rows
+
 # child interpreters (`python -m cfnormal.cli`) import the package that the
 # tests imported, wherever pytest found it
 os.environ["PYTHONPATH"] = os.pathsep.join(

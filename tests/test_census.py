@@ -100,6 +100,27 @@ class TestRunCensus:
         with pytest.raises(ResourceLimitError):
             run_census(ALL, 35000, p)
 
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_every_kind_passes_the_row_limit_at_the_count_bound(self, kind):
+        # so the row guard may refuse any m above the bound from the count
+        # there (type3, the sparsest, has 3.08e9 members)
+        assert count_R(kind, census.ROW_COUNT_BOUND) > census.CENSUS_ROW_LIMIT
+
+    def test_row_guard_counts_at_most_to_the_bound(self, monkeypatch):
+        # count_R(all, m) builds every table up to m: 175.9 MB at m = 1e7
+        seen = []
+
+        def count(kind, m):
+            seen.append(m)
+            return count_R(kind, m)
+        monkeypatch.setattr(census, "count_R", count)
+        with pytest.raises(ResourceLimitError):
+            run_census(SequenceKind.TYPE3, 10 ** 8,
+                       NormalityParams(0.25, Pattern((1,))))
+        with pytest.raises(ResourceLimitError):
+            gamma_census(GammaParams(10 ** 8, 0.1, 0.1, (1,)))
+        assert seen == [census.ROW_COUNT_BOUND] * 2
+
     def test_resolve_threads(self):
         assert resolve_threads(4) == 4
         assert resolve_threads() >= 1

@@ -13,13 +13,14 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import ratio_rows
 from cfnormal import cli
 from cfnormal.cli import _emit_digits, build_parser, main
-from cfnormal.core import Convention
-from cfnormal.enumeration import SequenceKind
+from cfnormal.core import Convention, cf_digits
+from cfnormal.enumeration import SequenceKind, members_block
 from cfnormal.sieves import pi_prime_joint, pi_prime_linear
 from cfnormal.streams import (DigitStream, decode_varints, digit_block,
-                              hypothesis_ratios, iter_digit_blocks)
+                              iter_digit_blocks)
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -115,8 +116,9 @@ class TestStreamBlocks:
             argv = ["stream", "--kind", kind.value, "--conv", conv.value,
                     "-n", str(n)] + extra
             want = tmp_path / "want"
-            _emit_digits(digit_block(kind, conv, n), kind,
-                         build_parser().parse_args(argv + ["--out", str(want)]))
+            with open(want, "wb") as sink:
+                _emit_digits(digit_block(kind, conv, n), kind,
+                             build_parser().parse_args(argv), sink)
             assert main(argv) == 0
             assert capsysbinary.readouterr().out == want.read_bytes(), n
             got = tmp_path / "got"
@@ -171,9 +173,9 @@ class TestEmitDigits:
         for digits in (self.DIGITS, np.array(self.DIGITS, dtype=np.int64)):
             target = tmp_path / f"dump{len(dumps)}"
             args = build_parser().parse_args(
-                ["stream", "--kind", "all", "-n", "1", "--out", str(target)]
-                + extra)
-            _emit_digits(digits, SequenceKind.ALL_LOWEST_TERMS, args)
+                ["stream", "--kind", "all", "-n", "1"] + extra)
+            with open(target, "wb") as sink:
+                _emit_digits(digits, SequenceKind.ALL_LOWEST_TERMS, args, sink)
             dumps.append(target.read_bytes())
         assert dumps[0] == dumps[1]
         if "--varint" not in extra:
@@ -202,10 +204,10 @@ class TestDecimalDump:
             digits = self._values(int(digits), int(digits)).tolist()
         target = tmp_path / "dump"
         args = build_parser().parse_args(
-            ["stream", "--kind", "all", "-n", "1", "--out", str(target)]
-            + extra)
-        _emit_digits(np.array(digits, dtype=np.int64),
-                     SequenceKind.ALL_LOWEST_TERMS, args)
+            ["stream", "--kind", "all", "-n", "1"] + extra)
+        with open(target, "wb") as sink:
+            _emit_digits(np.array(digits, dtype=np.int64),
+                         SequenceKind.ALL_LOWEST_TERMS, args, sink)
         head = b"cfdigits v1 kind=all conv=long\n" if extra else b""
         assert target.read_bytes() == head + " ".join(
             map(str, digits)).encode("ascii")
@@ -216,18 +218,17 @@ class TestDecimalDump:
         blocks = iter([values[:1], values[1:1], values[1:65538],
                        values[65538:]])
         target = tmp_path / "dump"
-        args = build_parser().parse_args(
-            ["stream", "--kind", "all", "-n", "1", "--out", str(target)])
-        _emit_digits(blocks, SequenceKind.ALL_LOWEST_TERMS, args)
+        args = build_parser().parse_args(["stream", "--kind", "all", "-n", "1"])
+        with open(target, "wb") as sink:
+            _emit_digits(blocks, SequenceKind.ALL_LOWEST_TERMS, args, sink)
         assert target.read_bytes() == " ".join(
             map(str, values.tolist())).encode("ascii")
 
     def test_negative_digits_are_refused(self, tmp_path):
-        args = build_parser().parse_args(
-            ["stream", "--kind", "all", "-n", "1", "--out",
-             str(tmp_path / "dump")])
-        with pytest.raises(ValueError, match="nonnegative"):
-            _emit_digits([3, -1], SequenceKind.ALL_LOWEST_TERMS, args)
+        args = build_parser().parse_args(["stream", "--kind", "all", "-n", "1"])
+        with open(tmp_path / "dump", "wb") as sink, \
+                pytest.raises(ValueError, match="nonnegative"):
+            _emit_digits([3, -1], SequenceKind.ALL_LOWEST_TERMS, args, sink)
 
     def test_text_equals_the_varint_dump(self, capsysbinary):
         argv = ["stream", "--kind", "all", "-n", "200000"]
@@ -237,6 +238,17 @@ class TestDecimalDump:
         digits = decode_varints(capsysbinary.readouterr().out)
         assert len(digits) == 200000
         assert text == " ".join(map(str, digits)).encode("ascii")
+
+
+def _picked_digits(indices, d_hi):
+    """(digits, lengths) of the long expansions of the lowest-terms members
+    at these 1-based indices, picked from members_block's rows below d_hi
+    and expanded one by one with core.cf_digits."""
+    num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, 2, d_hi)
+    assert max(indices) <= len(num)
+    expansions = [cf_digits(int(num[i - 1]), int(den[i - 1]), Convention.LONG)
+                  for i in indices]
+    return [d for e in expansions for d in e], [len(e) for e in expansions]
 
 
 class TestStreamFile:
@@ -277,7 +289,7 @@ class TestStreamFile:
         src = tmp_path / "indices.txt"
         src.write_text(" ".join(str(i) for i in indices))
         out = run_ok(capsys, ["stream-file", str(src)]).out
-        digits = DigitStream(indices=indices, convention=Convention.LONG)
+        digits, _ = _picked_digits(indices, 256)
         assert out == " ".join(str(d) for d in digits)
 
     def test_indices_header(self, tmp_path, capsys):
@@ -356,8 +368,9 @@ class TestStreamFile:
 
 
 class TestStreamFileBlockPath:
-    """stream-file resolves every index at once and runs digit_matrix; the
-    scalar DigitStream plus hypothesis_ratios is its oracle."""
+    """stream-file resolves every index at once and runs the lockstep
+    Euclid; its oracle expands the picked members_block rows one by one
+    with core.cf_digits, and loops over their lengths for the ratios."""
 
     @pytest.fixture(scope="class")
     def indices(self):
@@ -369,8 +382,7 @@ class TestStreamFileBlockPath:
 
     @pytest.fixture(scope="class")
     def oracle(self, indices):
-        return DigitStream(indices=indices, convention=Convention.LONG).take(
-            10 ** 9)
+        return _picked_digits(indices, 2000)
 
     @pytest.mark.parametrize("extra", [[], ["--varint"], ["--header"],
                                        ["-n", "777"],
@@ -383,7 +395,8 @@ class TestStreamFileBlockPath:
         out, report = tmp_path / "digits", tmp_path / "ratios.json"
         run_ok(capsys, ["stream-file", str(src), "--out", str(out),
                         "--report", str(report)] + extra)
-        want = oracle[:777] if "-n" in extra else oracle
+        digits, lengths = oracle
+        want = digits[:777] if "-n" in extra else digits
         data = out.read_bytes()
         if "--header" in extra:
             head, data = data.split(b"\n", 1)
@@ -392,9 +405,9 @@ class TestStreamFileBlockPath:
             assert decode_varints(data) == want
         else:
             assert data.decode("ascii") == " ".join(map(str, want))
-        fresh = DigitStream(indices=indices, convention=Convention.LONG)
-        expected = hypothesis_ratios(fresh, n=len(want) // 4).to_json_dict()
-        assert json.loads(report.read_text()) == expected
+        n = len(want) // 4
+        assert json.loads(report.read_text()) == {
+            "params": {"conv": "long", "N": n}, "rows": ratio_rows(lengths, n)}
 
     def test_unreachable_index_exits_4_fast(self, tmp_path, capsys):
         src = tmp_path / "indices.txt"
@@ -501,6 +514,15 @@ class TestCensus:
         doc = json.loads(out)
         assert (doc["total"], doc["abnormal"]) == (5100019, 2894863)
         assert peak_mb <= 200, f"census peak RSS {peak_mb:.0f} MB > 200 MB"
+
+    def test_refused_census_allocates_nothing_that_grows_with_m(self,
+                                                                cli_peak):
+        # counting the members up to m itself built every table up to m:
+        # a 175.9 MB peak at m = 1e7, about 3 GB at 1e8
+        code, _, peak_mb = cli_peak(
+            ["census", "--kind", "all", "-m", str(10 ** 8), "--eps", "0.25"])
+        assert code == 4
+        assert peak_mb < 60, f"refused census peak RSS {peak_mb:.1f} MB"
 
     def test_census_classifies_in_cache_sized_slices(self, cli_peak):
         # whole chunks of about 1e6 member rows at a time reached about

@@ -93,6 +93,8 @@ def test_phi_summatory_oracles():
     assert phi_summatory(1) == 1
     assert phi_summatory(5) == 10          # 1+1+2+2+4
     assert phi_summatory(10) == 32
+    with pytest.raises(ValueError):
+        phi_summatory(0)
 
 
 def test_phi_summatory_density():

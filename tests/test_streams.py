@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ratio_rows
 from cfnormal import streams
 from cfnormal.census import continuant_den
-from cfnormal.core import Convention, expand
-from cfnormal.enumeration import SequenceKind, enumerate_R, members_block
+from cfnormal.core import Convention, cf_digits
+from cfnormal.enumeration import SequenceKind, iter_members, members_block
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import Pattern, gauss_measure, pattern_grid
 from cfnormal.streams import (DigitStream, FrequencyTracker, GridCounter,
@@ -43,41 +44,16 @@ class TestDigitStream:
         assert s.take(15) == ALL_PREFIX_15
 
     def test_long_streams_tick_one_at_each_boundary(self):
-        s = DigitStream(kind=SequenceKind.TYPE1, convention=Convention.LONG)
-        boundaries = []
-        for _ in range(200):
-            d = next(s)
-            # position catches up to sum_len exactly when a rational ends
-            if s.position == s.sum_len:
-                boundaries.append(d)
-        assert len(boundaries) > 10
-        assert all(d == 1 for d in boundaries)
-
-    def test_bookkeeping_brackets_position(self):
-        s = DigitStream(kind=SequenceKind.ALL_LOWEST_TERMS,
-                        convention=Convention.LONG)
-        s.take(1000)
-        lens = [len(expand(r, Convention.LONG))
-                for r in enumerate_R(SequenceKind.ALL_LOWEST_TERMS, 100)]
-        partial = list(np.cumsum(lens))
-        m = s.rational_index
-        assert partial[m - 1] >= s.position > partial[m - 2]
-        assert s.sum_len == partial[m - 1]
-        assert s.max_len == max(lens[:m])
-
-    def test_explicit_indices(self):
-        s = DigitStream(indices=[3, 3, 3], convention=Convention.SHORT)
-        assert s.take(10) == [1, 2, 1, 2, 1, 2]   # finite source runs dry
+        # a long expansion ends in the digit 1, so a 1 stands wherever one
+        # member's digits end in the stream
+        members = itertools.islice(iter_members(SequenceKind.TYPE1), 60)
+        ends = np.cumsum([len(cf_digits(r.num, r.den, Convention.LONG))
+                          for r in members])
+        s = DigitStream(SequenceKind.TYPE1, Convention.LONG)
+        digits = s.take(int(ends[-1]))
+        assert s.position == len(digits) == ends[-1]
+        assert [digits[e - 1] for e in ends] == [1] * len(ends)
         assert s.take(-1) == []
-        s = DigitStream(indices=iter([1, 2, 3, 4, 5]),
-                        convention=Convention.SHORT)
-        assert s.take(7) == ALL_PREFIX_15[:7]
-
-    def test_kind_xor_indices(self):
-        with pytest.raises(ValueError):
-            DigitStream()
-        with pytest.raises(ValueError):
-            DigitStream(kind=SequenceKind.ALL_LOWEST_TERMS, indices=[1])
 
 
 class TestVectorizedGeneration:
@@ -636,10 +612,21 @@ class TestHypothesisRatios:
             den = rational_at(SequenceKind.ALL_LOWEST_TERMS, row.m).den
             assert row.max_len <= 3.0 / math.log(GOLDEN) * math.log(den)
 
-    def test_finite_stream_exhaustion(self):
-        stream = DigitStream(indices=[1, 2, 3], convention=Convention.SHORT)
-        with pytest.raises(ValueError):
-            hypothesis_ratios(stream, n=100)
+    @pytest.mark.parametrize("conv", list(Convention))
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_equals_the_scalar_oracle(self, kind, conv):
+        # the lengths of iter_members expanded one by one with cf_digits
+        for n in (1, 2, 7, 1000, 10 ** 4):
+            lengths = (len(cf_digits(*(r if isinstance(r, tuple)
+                                       else (r.num, r.den)), conv))
+                       for r in iter_members(kind))
+            assert hypothesis_ratios(kind, conv, n).to_json_dict() == {
+                "params": {"kind": kind.value, "conv": conv.value, "N": n},
+                "rows": ratio_rows(lengths, n)}, (kind, conv, n)
+
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            hypothesis_ratios(SequenceKind.TYPE1, Convention.LONG, 0)
 
 
 def test_header_format():
