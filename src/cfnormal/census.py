@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import Convention, Rational, continuants, expand
-from .enumeration import SequenceKind, count_R, members_block
+from .enumeration import KIND_SETS, SequenceKind, count_R, members_block
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
 from .streams import BLOCK_PAIR_CAP, _euclid_counts, _window_hits
@@ -38,10 +38,10 @@ SAMPLE_BLOCK = 1 << 16
 #: rows and depth of each Newton pilot run in _tune_theta
 PILOT_ROWS = 1500
 PILOT_DEPTH = 1200
-#: kinds whose members are closed under n/d -> (d-n)/d
-MIRROR_KINDS = frozenset({SequenceKind.ALL_LOWEST_TERMS,
-                          SequenceKind.ALL_WITH_DUPLICATES,
-                          SequenceKind.TYPE1})
+#: kinds whose members are closed under n/d -> (d-n)/d: those whose
+#: numerator set is every integer, since gcd(d - n, d) = gcd(n, d)
+MIRROR_KINDS = frozenset(kind for kind, (_, num_set) in KIND_SETS.items()
+                         if num_set is None)
 
 
 def resolve_threads(value: Optional[int] = None) -> int:
@@ -290,8 +290,7 @@ def run_census(kind: SequenceKind, m: int, p: NormalityParams,
             total += rows
             abnormal += bad
     if total != expected:
-        raise AssertionError(
-            f"classified {total} members, expected {expected}")  # pragma: no cover
+        raise AssertionError(f"classified {total} members, expected {expected}")
     return CensusReport(kind=kind, m=m, params=p, total=total,
                         abnormal=abnormal,
                         wall_time=time.perf_counter() - start)
@@ -396,6 +395,8 @@ def gamma_census(gp: GammaParams,
         for a, b in _slices(len(num)):
             members += int(np.count_nonzero(
                 _gamma_block(num[a:b], den[a:b], gp, convention)))
+    if total != expected:
+        raise AssertionError(f"classified {total} members, expected {expected}")
     return GammaCensus(m=gp.m, params=gp, convention=convention,
                        total=total, members=members)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +57,20 @@ _KIND_ALIASES: dict[str, SequenceKind] = {
 }
 
 
+#: each kind's members are the n/d, 0 < n < d, with d in a denominator set
+#: and n in a numerator set, named here by the ArithTables mask that tells
+#: the set's members, or None for every integer; every kind but aks-dup
+#: keeps lowest terms only
+KIND_SETS: dict[SequenceKind, tuple[Optional[str], Optional[str]]] = {
+    SequenceKind.ALL_WITH_DUPLICATES: (None, None),
+    SequenceKind.ALL_LOWEST_TERMS: (None, None),
+    SequenceKind.SQUAREFREE_BOTH: ("is_squarefree", "is_squarefree"),
+    SequenceKind.TYPE1: ("is_prime", None),
+    SequenceKind.TYPE2: (None, "is_prime"),
+    SequenceKind.TYPE3: ("is_prime", "is_prime"),
+}
+
+
 def _wrap(kind: SequenceKind, num: int, den: int) -> Member:
     if kind is SequenceKind.ALL_WITH_DUPLICATES:
         return (num, den)
@@ -83,29 +97,24 @@ def enumerate_R(kind: SequenceKind, m: int) -> Iterator[Member]:
 
 
 def _per_den_counts(kind: SequenceKind, tables: ArithTables) -> np.ndarray:
-    """Members with denominator d, for d = 0..tables.limit."""
-    isp = tables.is_prime
-    if kind is SequenceKind.ALL_LOWEST_TERMS:
+    """Members with denominator d, for d = 0..tables.limit, of a reduced
+    kind: the numerators n < d prime to d in its numerator set, zeroed
+    outside its denominator set."""
+    den_set, num_set = KIND_SETS[kind]
+    if num_set is None:
         counts = tables.phi.astype(np.int64)
-        counts[:2] = 0
-        return counts
-    if kind is SequenceKind.SQUAREFREE_BOTH:
-        return _squarefree_counts(tables)
-    if kind is SequenceKind.TYPE1:
-        return np.where(isp, np.arange(tables.limit + 1, dtype=np.int64) - 1, 0)
-    pi = np.cumsum(isp, dtype=np.int64)
-    if kind is SequenceKind.TYPE3:
-        return np.where(isp, pi - 1, 0)
-    if kind is SequenceKind.TYPE2:
-        # primes below d that do not divide it: pi(d-1) - (omega(d) - [d prime])
-        counts = np.zeros(tables.limit + 1, dtype=np.int64)
-        counts[2:] = pi[1:-1] - tables.omega[2:] + isp[2:]
-        return counts
-    raise AssertionError(kind)  # pragma: no cover
+    elif num_set == "is_prime":  # the primes up to d that do not divide it
+        counts = np.cumsum(tables.is_prime, dtype=np.int64) - tables.omega
+    else:
+        counts = _squarefree_counts(tables)
+    counts[:2] = 0
+    if den_set:
+        counts[~getattr(tables, den_set)] = 0
+    return counts
 
 
 def _squarefree_counts(tables: ArithTables) -> np.ndarray:
-    """Squarefree numerators n < d prime to d, for squarefree d; else 0.
+    """Squarefree numerators n < d prime to d, for d = 0..tables.limit.
 
     By inclusion-exclusion over e | d, c(d) = sum_{e|d} mu(e) T(e, d-1),
     with T(e, x) the squarefree multiples of e up to x.  Each e <= sqrt(m)
@@ -129,7 +138,6 @@ def _squarefree_counts(tables: ArithTables) -> np.ndarray:
         counts[multiples] += run[:top - root]
         if mob[j]:
             run[:top - root] += int(mob[j]) * mob[multiples]
-    counts[~sf] = 0
     return counts
 
 
@@ -181,7 +189,7 @@ def _count_squarefree_both(m: int) -> int:
 def _count_prime_kind(kind: SequenceKind, m: int) -> int:
     # Sums over the primes p <= m alone, so only the prime sieve is built:
     #   type1  sum_p (p - 1)
-    #   type2  sum_{d<=m} pi(d-1) - omega(d) + [d prime]
+    #   type2  sum_{d<=m} pi(d) - omega(d)
     #          = sum_p (m - p) - sum_p floor(m/p) + pi(m)
     #   type3  C(pi(m), 2)
     primes = np.flatnonzero(prime_sieve(m))
@@ -246,8 +254,8 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
     The denominator comes from a searchsorted on the cumulative count, the
     numerator from that denominator's row of members_block.
     The rows of the distinct denominators are built in ascending groups of
-    at most ROW_GROUP candidate numerators (d - 1 bounds a row of any
-    kind; a longer row makes a group of its own), and each group's indices
+    at most ROW_GROUP candidate numerators (every row holds d - 1; a
+    longer row makes a group of its own), and each group's indices
     read their numerators in one gather, so the tables reach the largest
     denominator only.  Since count_R(kind, m) <= m(m-1)/2, index i needs a
     denominator of at least sqrt(2i): an index that puts this bound past
@@ -268,7 +276,7 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
     offsets = idx - cum[dens - 1] - 1
     order = np.argsort(dens, kind="stable")
     # row j's indices are order[first_index[j]:first_index[j + 1]], and the
-    # rows before it have first_candidate[j] candidate numerators at most
+    # rows before it hold first_candidate[j] candidate numerators
     ranked = dens[order]
     first_index = np.concatenate(
         ([0], np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, [len(order)]))
@@ -319,16 +327,15 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int, half: bool = False
 
     Vectorized counterpart of enumerate_R used by the high-throughput digit
     generators; raw pairs for ALL_WITH_DUPLICATES, reduced members otherwise.
-    Each denominator d has a row of candidate numerators: 1..d-1, or the
-    primes below d for type2 and type3.  Lowest terms comes from a sieve,
-    not a gcd: every candidate starts kept (squarefree keeps its squarefree
-    numerators, type2 every prime), and for each distinct prime q of d the
-    multiples of q in the row are struck: one strided slice per (d, q), or
-    for type2 the one prime q.  The members are then read off the kept
-    positions, so beyond the mask nothing the size of the candidates is
-    allocated.  With half set only the members with 2 num <= den are
-    returned: each row's candidates stop at d // 2 (the primes up to d // 2
-    for type2 and type3), and the same sieve runs over the shorter rows.
+    Each denominator d in the kind's denominator set has one row of
+    candidate numerators 1..d-1, kept where the numerator set's mask holds.
+    Lowest terms comes from a sieve, not a gcd: for each distinct prime q
+    of d the multiples of q in the row are struck, one strided slice per
+    (d, q); a prime d shares no factor with its candidates, so its row is
+    not struck.  The members are then read off the kept positions, so
+    beyond the mask nothing the size of the candidates is allocated.  With
+    half set only the members with 2 num <= den are returned: each row's
+    candidates stop at d // 2, and the same sieve runs over the shorter rows.
     """
     d_lo = max(d_lo, 2)
     if d_hi <= d_lo:
@@ -339,47 +346,33 @@ def members_block(kind: SequenceKind, d_lo: int, d_hi: int, half: bool = False
 def _member_rows(kind: SequenceKind, dens: np.ndarray, half: bool = False
                  ) -> tuple[np.ndarray, np.ndarray]:
     """members_block over the rows of dens, a non-empty ascending int64
-    array of distinct denominators >= 2; those that are not the kind's
-    denominators give no row."""
-    d_hi = int(dens[-1]) + 1
-    tables = get_tables(d_hi - 1)
-    isp = tables.is_prime
-    sf = tables.is_squarefree
-
-    if kind in (SequenceKind.TYPE1, SequenceKind.TYPE3):
-        dens = dens[isp[dens]]
-    elif kind is SequenceKind.SQUAREFREE_BOTH:
-        dens = dens[sf[dens]]
-    prime_nums = kind in (SequenceKind.TYPE2, SequenceKind.TYPE3)
+    array of distinct denominators >= 2; those outside the kind's
+    denominator set give no row.  The tables are read only for a set's mask."""
+    den_set, num_set = KIND_SETS[kind]
+    if den_set or num_set:
+        tables = get_tables(int(dens[-1]))
+    if den_set:
+        dens = dens[getattr(tables, den_set)[dens]]
     top = dens // 2 if half else dens - 1  # the largest candidate numerator
-    if prime_nums:
-        pi = np.cumsum(isp[:d_hi], dtype=np.int64)
-        counts = pi[top]
-    else:
-        counts = top
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    starts = np.cumsum(counts) - counts
+    total = int(top.sum())
+    starts = np.cumsum(top) - top
 
-    if kind in (SequenceKind.ALL_WITH_DUPLICATES, SequenceKind.TYPE1,
-                SequenceKind.TYPE3):
+    # lowest terms; a prime d shares no factor with a candidate below it
+    strike = (kind is not SequenceKind.ALL_WITH_DUPLICATES
+              and den_set != "is_prime")
+    if num_set is None and not strike:
         pos = np.arange(total, dtype=np.int64)
-        kept = counts
+        kept = top
     else:
+        nums = getattr(tables, num_set) if num_set else None
         keep = np.ones(total, dtype=bool)
-        for d, start, n in zip(dens.tolist(), starts.tolist(), counts.tolist()):
-            if kind is SequenceKind.SQUAREFREE_BOTH:
-                keep[start:start + n] = sf[1:1 + n]
-            for q in factorize_distinct(d):
-                if not prime_nums:
+        for d, start, n in zip(dens.tolist(), starts.tolist(), top.tolist()):
+            if nums is not None:
+                keep[start:start + n] = nums[1:1 + n]
+            if strike:
+                for q in factorize_distinct(d):
                     keep[start + q - 1:start + n:q] = False
-                elif pi[q] <= n:  # q, the pi(q)-th prime, is the only multiple
-                    keep[start + pi[q] - 1] = False
         pos = np.flatnonzero(keep)
         kept = np.diff(np.searchsorted(pos, starts), append=len(pos))
-    pos -= np.repeat(starts, kept)  # each member's place among its candidates
-    if prime_nums:
-        return np.flatnonzero(isp[:d_hi])[pos], np.repeat(dens, kept)
-    pos += 1
+    pos -= np.repeat(starts - 1, kept)  # each member's place in its row, from 1
     return pos, np.repeat(dens, kept)

@@ -376,6 +376,8 @@ def count_patterns(source: Union[Iterable[int], DigitStream],
 def count_pattern_array(digits: np.ndarray, s: Union[Pattern, Sequence[int]],
                         n: int) -> int:
     """Vectorized A_s(n) over a digit array holding >= n + k - 1 digits."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     s = Pattern.coerce(s)
     k = len(s)
     if len(digits) < n + k - 1:

@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import ACCEPTANCE_PATTERNS, STREAM_N
 from cfnormal.cli import main
@@ -108,6 +109,35 @@ def test_criterion_04_growth_exponent(capsys, long_digits, growth_mc):
               f"feasible N); Monte Carlo mean ln(q_100)/100 = "
               f"{growth_mc.mean:.5f}, dev {mc_dev:.5f} < 0.02")
     _verdict(capsys, 4, ok, detail)
+
+
+#: criterion 04's stream figures at N = STREAM_N: the tracker's ln q_N and
+#: ln(q_N)/N as the criterion prints it
+CRITERION_04_PINS = {
+    SequenceKind.ALL_WITH_DUPLICATES: (944972.9944577519, "0.9450"),
+    SequenceKind.ALL_LOWEST_TERMS: (967986.4751589948, "0.9680"),
+    SequenceKind.SQUAREFREE_BOTH: (978137.6755951984, "0.9781"),
+    SequenceKind.TYPE1: (983984.0890133696, "0.9840"),
+    SequenceKind.TYPE2: (992555.9847556589, "0.9926"),
+    SequenceKind.TYPE3: (1017393.2181694643, "1.0174"),
+}
+
+
+def test_criterion_04_stream_figures_are_pinned(long_digits):
+    # criterion 04 stays red whatever its figures are; this pin catches a
+    # change in the digits of any kind's stream, or in the tracker
+    for kind, (logq, printed) in CRITERION_04_PINS.items():
+        tracker = GrowthTracker()
+        tracker.update_many(long_digits[kind][:STREAM_N])
+        assert tracker.logq == pytest.approx(logq, rel=1e-9), kind
+        assert f"{tracker.rate:.4f}" == printed, kind
+
+
+def test_criterion_06_census_counts_are_pinned(census_ladder):
+    # criterion 06 stays red on its last step; its ratios come from these
+    assert {m: (r.total, r.abnormal) for m, r in census_ladder.items()} == {
+        256: (19947, 13817), 512: (79851, 53059),
+        1024: (318963, 193388), 2048: (1275585, 774043)}
 
 
 def test_criterion_05_totient_summation(capsys):

@@ -121,6 +121,15 @@ class TestRunCensus:
             gamma_census(GammaParams(10 ** 8, 0.1, 0.1, (1,)))
         assert seen == [census.ROW_COUNT_BOUND] * 2
 
+    def test_rows_are_held_to_the_guard_count(self, monkeypatch):
+        # both censuses compare the rows they enumerated with count_R
+        monkeypatch.setattr(census, "count_R",
+                            lambda kind, m: count_R(kind, m) + 1)
+        with pytest.raises(AssertionError, match="expected"):
+            run_census(ALL, 100, NormalityParams(0.25, Pattern((1,))))
+        with pytest.raises(AssertionError, match="expected"):
+            gamma_census(GammaParams(100, 0.1, 0.1, (1,)))
+
     def test_resolve_threads(self):
         assert resolve_threads(4) == 4
         assert resolve_threads() >= 1
@@ -315,6 +324,13 @@ class TestMirror:
             lengths, _, _, gcd = _euclid_counts(
                 np.array([num]), np.array([den]), (1,), conv, 1)
             assert (lengths[0], den // gcd[0]) == (len(cf_digits(1, 2, conv)), 2)
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_mirror_kinds_are_the_kinds_closed_under_the_mirror(self, kind):
+        num, den = members_block(kind, 2, 301)
+        rows = set(zip(num.tolist(), den.tolist()))
+        closed = {(d - n, d) for n, d in rows} == rows
+        assert (kind in MIRROR_KINDS) == closed
 
     def test_self_mirrored_rows_count_once(self):
         dup = SequenceKind.ALL_WITH_DUPLICATES

@@ -237,12 +237,40 @@ def test_prime_kind_counts_match_the_cumulative_tables(kind):
     assert [count_R(kind, m) for m in range(1, 3001)] == cum[1:3001].tolist()
 
 
+REDUCED_KINDS = [k for k in SequenceKind
+                 if k is not SequenceKind.ALL_WITH_DUPLICATES]
+
+
+def test_kind_sets_describe_every_kind():
+    assert set(enumeration.KIND_SETS) == set(SequenceKind)
+    masks = {None, "is_prime", "is_squarefree"}
+    for den_set, num_set in enumeration.KIND_SETS.values():
+        assert den_set in masks and num_set in masks
+
+
+@pytest.mark.parametrize("kind", REDUCED_KINDS)
 @pytest.mark.parametrize("limit", [1024, 2025, 3000])
-def test_squarefree_counts_per_denominator(limit):
+def test_per_den_counts_match_members_block(kind, limit):
     # the tables' floor, a square, and a limit that is not one
-    counts = enumeration._per_den_counts(SF, sieves.build_tables(limit))
-    _, den = members_block(SF, 2, limit + 1)
+    counts = enumeration._per_den_counts(kind, sieves.build_tables(limit))
+    _, den = members_block(kind, 2, limit + 1)
+    assert counts.dtype == np.int64
     assert counts.tolist() == np.bincount(den, minlength=limit + 1).tolist()
+
+
+@pytest.mark.parametrize("kind", [SequenceKind.ALL_WITH_DUPLICATES, ALL])
+def test_rows_without_a_mask_build_no_tables(kind, monkeypatch):
+    count = count_R(kind, 3000)
+
+    def refuse(limit):
+        raise AssertionError("tables built")
+    monkeypatch.setattr(sieves, "build_tables", refuse)
+    monkeypatch.setattr(sieves, "get_tables", refuse)
+    monkeypatch.setattr(enumeration, "get_tables", refuse)
+    num, den = members_block(kind, 2, 3001)
+    assert len(num) == count
+    half = members_block(kind, 2, 3001, half=True)[0]
+    assert len(half) == np.count_nonzero(2 * num <= den)
 
 
 def test_cumulative_follows_the_tables(monkeypatch):

@@ -322,6 +322,10 @@ class TestPatternCounting:
     def test_count_pattern_array_needs_read_ahead(self):
         with pytest.raises(ValueError):
             count_pattern_array(np.array([1, 2, 3]), Pattern((1, 2)), 3)
+        # a slice digits[j:j + n] with n <= 0 would wrap from the end
+        for n in (0, -1, -3):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                count_pattern_array(np.array([1, 1, 1, 2]), Pattern((1,)), n)
 
 
 class TestGridCounter:
