@@ -479,10 +479,15 @@ def in_F_set(digits: Sequence[int], epsilon: float, n: int) -> bool:
 # sampling digit prefixes under the Gauss measure
 
 def _digit_of(y: np.ndarray) -> np.ndarray:
+    """floor(1/y) of each entry of a float64 array, as int64 clamped to
+    [1, 2^62]; an infinite or NaN reciprocal gives 2^62."""
     with np.errstate(divide="ignore", over="ignore"):
-        a = np.floor(1.0 / y)
-    a = np.where(np.isfinite(a), a, 2.0 ** 62)
-    return np.clip(a, 1.0, 2.0 ** 62).astype(np.int64)
+        a = np.divide(1.0, y)
+    np.floor(a, out=a)
+    a[np.isinf(a)] = 2.0 ** 62
+    np.fmin(a, 2.0 ** 62, out=a)  # NaN too
+    np.maximum(a, 1.0, out=a)
+    return a.astype(np.int64)
 
 
 class GaussDigitSampler:
@@ -517,42 +522,78 @@ class GaussDigitSampler:
         """Take the new (r, rho) and the per-row terms the CDF and its
         inverse share: r - rho, the scale k = ln((1+r)/(1+rho)) (written to
         stay accurate when r ~ rho), and the rows where k is 0.  When every
-        row has k = 0, r == rho throughout and the state merges."""
+        row has k = 0, r == rho throughout and the state merges.
+
+        Here and in _cdf and _inverse each formula runs in place on as few
+        temporaries as its operations allow, which keeps the peak memory of
+        the first, two-parameter steps down."""
         self.r, self.rho = r, rho
         self.diff = r - rho
-        self.k = np.log1p(self.diff / (1.0 + rho))
+        self.k = 1.0 + rho
+        np.divide(self.diff, self.k, out=self.k)
+        np.log1p(self.k, out=self.k)
         self.deg = self.k == 0.0
         self.any_deg = bool(self.deg.any())
         if self.any_deg and self.deg.all():
             self.rho = r
+            self.diff = self.k = None  # only the two-parameter forms read them
 
     def _cdf(self, t) -> np.ndarray:
         merged = self.r is self.rho
+        den = self.rho * t
+        den += 1.0
         if not merged:
-            num = np.log1p(self.diff * t / (1.0 + self.rho * t))
+            # log1p(diff t / (1 + rho t)) / k
+            c = self.diff * t
+            c /= den
+            np.log1p(c, out=c)
             with np.errstate(invalid="ignore"):
-                c = num / self.k
+                c /= self.k
             if not self.any_deg:
                 return c
-        flat = t * (1.0 + self.rho) / (1.0 + self.rho * t)  # the k = 0 rows
-        return flat if merged else np.where(self.deg, flat, c)
+        # the k = 0 rows: t (1 + rho) / (1 + rho t)
+        flat = 1.0 + self.rho
+        flat *= t
+        flat /= den
+        if merged:
+            return flat
+        np.copyto(c, flat, where=self.deg)
+        return c
 
     def _inverse(self, u: np.ndarray) -> np.ndarray:
         merged = self.r is self.rho
         if not merged:
-            em = np.expm1(u * self.k)
+            # expm1(u k) / (diff - rho expm1(u k))
+            em = u * self.k
+            np.expm1(em, out=em)
+            t = self.rho * em
+            np.subtract(self.diff, t, out=t)
             with np.errstate(invalid="ignore", divide="ignore"):
-                t = em / (self.diff - self.rho * em)
+                np.divide(em, t, out=t)
             if not self.any_deg:
                 return t
-        flat = u / (1.0 + self.rho - u * self.rho)  # the k = 0 rows
-        return flat if merged else np.where(self.deg, flat, t)
+            del em
+        # the k = 0 rows: u / (1 + rho - u rho)
+        flat = 1.0 + self.rho
+        flat -= u * self.rho
+        np.divide(u, flat, out=flat)
+        if merged:
+            return flat
+        np.copyto(t, flat, where=self.deg)
+        return t
 
-    def push(self, a: np.ndarray) -> None:
-        if self.r is self.rho:  # merged: diff and k stay 0, deg stays True
-            self.r = self.rho = 1.0 / (a + self.r)
+    def push(self, a: np.ndarray) -> np.ndarray:
+        """Emit digit a in every row.  Returns a + r: r is q_{j-2}/q_{j-1},
+        so that is q_j/q_{j-1}, the row's continuant growth."""
+        grow = a + self.r
+        if self.r is self.rho:  # merged: deg stays True, diff and k unset
+            self.r = self.rho = 1.0 / grow
         else:
-            self._set_state(1.0 / (a + self.r), 1.0 / (a + self.rho))
+            self.diff = self.k = None  # freed before the new state's are made
+            rho = a + self.rho
+            np.divide(1.0, rho, out=rho)
+            self._set_state(1.0 / grow, rho)
+        return grow
 
     def _digit_interval(self, d: int) -> tuple[np.ndarray, np.ndarray]:
         """(CDF at 1/(d+1), P(next digit = d | state)): digit d is the tail
@@ -575,30 +616,38 @@ class GaussDigitSampler:
         self.push(a)
         return a
 
-    def draw_tilted(self, theta: float, d: int, rng: np.random.Generator
+    def draw_tilted(self, et: Union[float, np.ndarray], d: int,
+                    u: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One digit under an exponential tilt of the indicator {digit = d}.
 
-        Emits d with probability q = p e^theta / (1 + p (e^theta - 1)) where
-        p is the state-conditional probability, otherwise a digit drawn from
+        et is the tilt factor e^theta, a float or one value per row, and u
+        the step's uniforms.  A row emits d when its uniform is below
+        q = p et / (1 + p (et - 1)), where p is the state-conditional
+        probability of d; otherwise the same uniform, rescaled, draws from
         the exact conditional law on the complement.  Returns the digits, the
         mask of the rows that emitted d (the rows whose digit is d: the
         complement branch never gives d), p and q.
         """
         c_lo, p = self._digit_interval(d)
-        et = math.exp(theta)
-        q = p * et / (1.0 + p * (et - 1.0))
-        u = rng.random(self.n)
+        q = p * et
+        den = p * (et - 1.0)
+        den += 1.0
+        q /= den
         pick = u < q
-        # reuse the same uniform for the complement branch
-        u2 = (u - q) / (1.0 - q)
-        u3 = u2 * (1.0 - p)
-        u3 = np.where(u3 < c_lo, u3, u3 + p)
-        u3 = np.where(pick, 0.5, u3)  # dummy for the rows that emit d
-        a_other = _digit_of(self._inverse(u3))
+        not_p = 1.0 - p
+        u3 = u - q
+        u3 /= 1.0 - q
+        u3 *= not_p
+        # the complement rows have 0 <= u3 <= 1 - p (or NaN) and keep it; the
+        # rows that emit d get a finite dummy in the same range
+        np.abs(u3, out=u3)
+        np.minimum(u3, not_p, out=u3)
+        u3 += p * (u3 >= c_lo)  # step over d's interval
+        a = _digit_of(self._inverse(u3))
         # guard the measure-zero boundary roundings out of the d bucket
-        a_other = np.where(a_other == d, d + 1, a_other)
-        a = np.where(pick, d, a_other)
+        a += a == d
+        a += (d - a) * pick
         self.push(a)
         return a, pick, p, q
 
@@ -606,8 +655,10 @@ class GaussDigitSampler:
                     ) -> tuple[np.ndarray, np.ndarray]:
         """draw_tilted's digits and the per-row log importance weight
         increment, so averaging weight * indicator over many rows stays
-        unbiased for the untilted chain."""
-        a, pick, p, q = self.draw_tilted(theta, d, rng)
+        unbiased for the untilted chain.  Both branches of the weight are
+        computed on every row: gathering each branch's rows costs more."""
+        a, pick, p, q = self.draw_tilted(math.exp(theta), d,
+                                         rng.random(self.n))
         dlogw = np.where(pick,
                          np.log(p) - np.log(q),
                          np.log1p(-p) - np.log1p(-q))
@@ -676,7 +727,7 @@ def _log_growth(n_samples: int, seed: np.random.SeedSequence,
                 steps: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """(step, ln q_step of each row) at each of the ascending steps, over
     n_samples Gauss-sampled points, by ln q_j = ln q_{j-1} + ln(a_j + r) with
-    r = q_{j-2}/q_{j-1}."""
+    r = q_{j-2}/q_{j-1}: the sampler's step, taking a_j + r from push."""
     rng = np.random.default_rng(seed)
     sampler = GaussDigitSampler(n_samples)
     logq = np.zeros(n_samples)
@@ -684,8 +735,10 @@ def _log_growth(n_samples: int, seed: np.random.SeedSequence,
     out = []
     for target in steps:
         for _ in range(target - done):
-            r = sampler.r  # the sampler's own q_{j-2}/q_{j-1}
-            logq += np.log(sampler.step(rng) + r)
+            grow = sampler.push(
+                _digit_of(sampler._inverse(rng.random(n_samples))))
+            logq += np.log(grow, out=grow)
+            del grow  # not kept through the next draw: it sets the peak
         done = target
         out.append((target, logq.copy()))
     return out
@@ -752,27 +805,38 @@ class EFDecayReport:
                 "rows_f": [r.to_json_dict() for r in self.rows_f]}
 
 
-def _tune_theta(d: int, target: float, seed: np.random.SeedSequence) -> float:
-    """Tilt strength whose mean digit-d frequency lands near target.
+def _tune_theta(d: int, targets: Sequence[float],
+                seeds: Sequence[np.random.SeedSequence]) -> tuple[float, ...]:
+    """Tilt strengths whose mean digit-d frequencies land near the targets.
 
-    Starts from the closed form for an independent Bernoulli stream (the
-    digits are close to one) and applies two Newton corrections measured on
-    short pilot runs.  The pilots only count the emitted d, so they draw
-    without the importance weights.
+    Each starts from the closed form for an independent Bernoulli stream
+    (the digits are close to one) and applies two Newton corrections
+    measured on short pilot runs of PILOT_ROWS rows.  The pilots run in
+    lockstep as row slices of one sampler; each slice draws its uniforms
+    from its own target's seed and counts only its own rows, so each theta
+    is the one a pilot of its own would give.  The pilots only count the
+    emitted d, so they draw without the importance weights.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     p0 = gauss_measure([d])
-    t = min(max(target, 1e-3), 1.0 - 1e-3)
-    theta = math.log(t * (1.0 - p0) / (p0 * (1.0 - t)))
+    ts = [min(max(target, 1e-3), 1.0 - 1e-3) for target in targets]
+    thetas = [math.log(t * (1.0 - p0) / (p0 * (1.0 - t))) for t in ts]
+    u = np.empty(len(ts) * PILOT_ROWS)
+    slices = [u[i * PILOT_ROWS:(i + 1) * PILOT_ROWS] for i in range(len(ts))]
     for _ in range(2):
-        sampler = GaussDigitSampler(PILOT_ROWS)
-        count = 0
+        sampler = GaussDigitSampler(len(u))
+        et = np.repeat([math.exp(theta) for theta in thetas], PILOT_ROWS)
+        counts = np.zeros(len(ts), dtype=np.int64)
         for _ in range(PILOT_DEPTH):
-            _, pick, _, _ = sampler.draw_tilted(theta, d, rng)
-            count += int(np.count_nonzero(pick))
-        frac = count / (PILOT_ROWS * PILOT_DEPTH)
-        theta += (t - frac) / max(frac * (1.0 - frac), 1e-3)
-    return theta
+            for rng, part in zip(rngs, slices):
+                rng.random(out=part)
+            _, pick, _, _ = sampler.draw_tilted(et, d, u)
+            counts += np.count_nonzero(pick.reshape(len(ts), PILOT_ROWS),
+                                       axis=1)
+        for i, (t, count) in enumerate(zip(ts, counts.tolist())):
+            frac = count / (PILOT_ROWS * PILOT_DEPTH)
+            thetas[i] += (t - frac) / max(frac * (1.0 - frac), 1e-3)
+    return tuple(thetas)
 
 
 def _tilted_tail_run(d: int, theta: float, checkpoints: Sequence[int],
@@ -857,8 +921,7 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
     frac_hi = (1.0 + eps_e) * mu
     frac_lo = (1.0 - eps_e) * mu
     seeds = np.random.SeedSequence(seed).spawn(5)
-    theta_hi = _tune_theta(d, frac_hi, seeds[0])
-    theta_lo = _tune_theta(d, frac_lo, seeds[1])
+    theta_hi, theta_lo = _tune_theta(d, (frac_hi, frac_lo), seeds[:2])
 
     runs = [
         (_tilted_tail_run, d, theta_hi, cps, n_samples, frac_hi, True, seeds[2]),

@@ -534,9 +534,16 @@ class GrowthTracker:
         self._reset_window()
 
     def _reset_window(self) -> None:
-        self._window: list[int] = []  # digits of the open audit window
+        # the digits of the open audit window, in pieces that are joined once
+        # per audit: int64 arrays from update_many, lists from update
+        self._window: list = []
+        self._kept = 0  # their number
         self._logq_start = self.logq
         self._ratio_start = self.ratio
+
+    def _window_digits(self) -> np.ndarray:
+        return (np.concatenate(self._window) if self._window
+                else np.empty(0, dtype=np.int64))
 
     def update(self, a: int) -> None:
         _check_digit(a)
@@ -544,9 +551,13 @@ class GrowthTracker:
         self.logq += math.log(t)
         self.ratio = 1.0 / t
         self.n += 1
-        self._window.append(a)
-        if len(self._window) >= self.audit_interval:
-            _, _, w21, w11 = continuants(self._window)
+        window = self._window
+        if not window or type(window[-1]) is not list:
+            window.append([])
+        window[-1].append(a)
+        self._kept += 1
+        if self._kept >= self.audit_interval:
+            _, _, w21, w11 = continuants(itertools.chain.from_iterable(window))
             self._audit(w11, w21)
 
     def update_many(self, digits: Iterable[int]) -> None:
@@ -566,7 +577,7 @@ class GrowthTracker:
             size = GROWTH_CHUNK
             if self.audit_interval <= size:
                 # end the chunk where an audit window ends
-                size -= (len(self._window) + size) % self.audit_interval
+                size -= (self._kept + size) % self.audit_interval
             self._update_chunk(a[lo:lo + size])
             lo += size
 
@@ -576,20 +587,25 @@ class GrowthTracker:
         logq[0] += self.logq
         np.cumsum(logq, out=logq)
         n0 = self.n
-        kept = len(self._window)
-        window = np.concatenate((self._window, a)) if kept else a
+        kept = self._kept
         size = self.audit_interval
-        lo = len(window) - len(window) % size  # the digits of whole windows
-        if lo:
-            columns = _continuant_products(window[:lo].reshape(-1, size))
+        # the digits of the chunk that close whole windows
+        lo = (kept + len(a)) // size * size - kept
+        if lo > 0:
+            self._window.append(a[:lo])
+            columns = _continuant_products(
+                self._window_digits().reshape(-1, size))
             # the audits fall after these many digits of the chunk
-            ends = range(size - kept, lo - kept + 1, size)
+            ends = range(size - kept, lo + 1, size)
             for hi, (w11, w21) in zip(ends, columns):
                 self.n = n0 + hi
                 self.logq = float(logq[hi - 1])
                 self.ratio = float(1.0 / t[hi - 1])
                 self._audit(w11, w21)
-        self._window = window[lo:].tolist()
+        rest = a[max(lo, 0):]
+        if len(rest):
+            self._window.append(rest.copy())  # not a view of the caller's
+            self._kept += len(rest)
         self.n = n0 + len(a)
         self.logq = float(logq[-1])
         self.ratio = float(1.0 / t[-1])

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -704,6 +705,103 @@ class TestMergedState:
         assert sampler.r is not sampler.rho
 
 
+def _where_digit_of(y):
+    """The digit map as np.where and np.clip wrote it."""
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.floor(1.0 / y)
+    a = np.where(np.isfinite(a), a, 2.0 ** 62)
+    return np.clip(a, 1.0, 2.0 ** 62).astype(np.int64)
+
+
+def _where_tilted_step(r, rho, theta, d, u):
+    """One tilted step by np.where selects on the pick mask, with a dummy
+    uniform of 0.5 for the rows that emit d, on a chain state (r, rho) kept
+    outside the sampler.  Returns (a, pick, p, q, dlogw) and the next
+    state."""
+    c_lo = _two_branch(r, rho, 1.0 / (d + 1.0), u)[0]
+    c_hi = 1.0 if d == 1 else _two_branch(r, rho, 1.0 / d, u)[0]
+    p = c_hi - c_lo
+    et = math.exp(theta)
+    q = p * et / (1.0 + p * (et - 1.0))
+    pick = u < q
+    u3 = (u - q) / (1.0 - q) * (1.0 - p)
+    u3 = np.where(u3 < c_lo, u3, u3 + p)
+    u3 = np.where(pick, 0.5, u3)
+    a_other = _where_digit_of(_two_branch(r, rho, 0.5, u3)[1])
+    a_other = np.where(a_other == d, d + 1, a_other)
+    a = np.where(pick, d, a_other)
+    dlogw = np.where(pick, np.log(p) - np.log(q),
+                     np.log1p(-p) - np.log1p(-q))
+    return (a, pick, p, q, dlogw), (1.0 / (a + r), 1.0 / (a + rho))
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and np.array_equal(x, y) and x.tobytes() == y.tobytes())
+
+
+class TestSelectFreeDraw:
+    """The tilted draw's arithmetic selects against the np.where ones."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", [1, 7, 1500])
+    @pytest.mark.parametrize("theta", [-1.1, 0.95, 20.0])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_same_bits_as_the_where_draw(self, d, theta, rows):
+        sampler = GaussDigitSampler(rows)
+        r, rho = np.zeros(rows), np.ones(rows)
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        drawn = []
+        draw = sampler.draw_tilted
+
+        def keep(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+
+        sampler.draw_tilted = keep
+        merged_at = None
+        for step in range(120):
+            a, dlogw = sampler.step_tilted(theta, d, rng)
+            want, (r, rho) = _where_tilted_step(r, rho, theta, d,
+                                                ref_rng.random(rows))
+            got = drawn.pop() + (dlogw,)
+            assert all(map(_same_bits, got, want)), step
+            assert _same_bits(a, want[0])
+            if merged_at is None and sampler.r is sampler.rho:
+                merged_at = step
+        # from the two-parameter start state to past the merge
+        assert merged_at is not None and 0 < merged_at < 100
+
+    def test_digit_of_matches_the_clip_formula(self):
+        y = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                      2.0 ** -62, 2.0 ** -63, 1.0 / 3.0, 1.0, 2.0, -1.0])
+        big = 2 ** 62
+        assert _same_bits(_digit_of(y), _where_digit_of(y))
+        assert _digit_of(y).tolist() == [big, big, 1, 1, big, big, big, big,
+                                         3, 1, 1, 1]
+
+    def test_per_row_tilt_factor(self):
+        # each row's tilt factor acts on that row alone
+        rows = 600
+        u = np.random.default_rng(3).random(rows)
+        et = np.repeat([math.exp(0.95), math.exp(-1.1)], rows // 2)
+        both = GaussDigitSampler(rows).draw_tilted(et, 2, u)
+        for half, theta in ((slice(0, 300), 0.95), (slice(300, 600), -1.1)):
+            alone = GaussDigitSampler(rows // 2).draw_tilted(
+                math.exp(theta), 2, u[half])
+            assert all(_same_bits(x[half], y) for x, y in zip(both, alone))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lockstep_pilots_match_separate_ones(self, d):
+        mu = gauss_measure((d,))
+        targets = (1.5 * mu, 0.5 * mu)
+        seeds = np.random.SeedSequence(8).spawn(2)
+        alone = tuple(_tune_theta(d, (t,), (seed,))[0]
+                      for t, seed in zip(targets, seeds))
+        assert _tune_theta(d, targets, seeds) == alone
+
+
 class TestEstimateMeasure:
     def test_first_digit_measure(self):
         est = estimate_measure(lambda digits: digits[:, 0] == 1,
@@ -751,6 +849,20 @@ def test_mc_growth_rate_domain():
     for n_samples in (1, 0):
         with pytest.raises(ValueError):
             mc_growth_rate(10, n_samples)
+
+
+def test_growth_run_peak_memory():
+    # numpy's traced peak repeats exactly, where the process's RSS peak
+    # moved by 3 MB between runs; the parent of the in-place chain formulas
+    # read 10.13 float64 arrays of n, this code 9.13
+    n = 4 * 10 ** 5
+    tracemalloc.start()
+    try:
+        mc_growth_rate(100, n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 8 * n
 
 
 def test_mc_growth_rate(growth_mc):
@@ -887,8 +999,8 @@ class TestPinnedOutputs:
             raise AssertionError("a pilot computed importance weights")
         monkeypatch.setattr(GaussDigitSampler, "step_tilted", refuse)
         seed = np.random.SeedSequence(4).spawn(5)[0]
-        assert _tune_theta(1, 1.5 * gauss_measure((1,)), seed) \
-            == 0.9044956699511251
+        assert _tune_theta(1, (1.5 * gauss_measure((1,)),), (seed,)) \
+            == (0.9044956699511251,)
 
     def test_gamma_census(self):
         short = gamma_census(GammaParams(m=2000, delta=0.05, eta=0.2, s=(1,)),

@@ -421,7 +421,7 @@ class TestGrowthTracker:
             with pytest.raises(ValueError):
                 tracker.update(bad)
         assert _growth_state(tracker) == before
-        assert tracker._window == [3, 1, 4]
+        assert tracker._window_digits().tolist() == [3, 1, 4]
         tracker.update(2 ** 63 - 1)
         assert tracker.n == 4
 
@@ -441,7 +441,7 @@ class TestGrowthTracker:
         with pytest.raises(ValueError):
             tracker.update_many([2.5, 1, 1])
         assert _growth_state(tracker) == before
-        assert tracker._window == [3, 1, 4]
+        assert tracker._window_digits().tolist() == [3, 1, 4]
 
     def test_update_many_refuses_a_digit_past_int64(self):
         # np.fromiter raised OverflowError on 2**63
@@ -504,6 +504,28 @@ class TestGrowthTrackerVectorised:
                                         chunk, interval, n):
         monkeypatch.setattr(streams, "GROWTH_CHUNK", chunk)
         _assert_same_bits(long_digits[SequenceKind.TYPE2][:n], interval)
+
+    @pytest.mark.parametrize("interval", [7, 65_537, 100_003])
+    def test_windows_across_chunks(self, long_digits, interval):
+        # the two long windows gather their digits over two chunks
+        _assert_same_bits(
+            long_digits[SequenceKind.ALL_LOWEST_TERMS][:200_000], interval)
+
+    def test_a_window_longer_than_a_chunk_costs_no_more(self, long_digits):
+        # the open window was rebuilt on every chunk, so its cost grew with
+        # the square of the window: 1.75x the default's at 10**6 + 1
+        digits = long_digits[SequenceKind.ALL_LOWEST_TERMS][:10 ** 6]
+
+        def best(interval):
+            seconds = []
+            for _ in range(3):
+                tracker = GrowthTracker(audit_interval=interval)
+                start = time.perf_counter()
+                tracker.update_many(digits)
+                seconds.append(time.perf_counter() - start)
+            return min(seconds)
+
+        assert best(10 ** 6 + 1) <= 1.3 * best(streams.AUDIT_INTERVAL)
 
     def test_mixed_with_scalar_updates(self, long_digits):
         digits = long_digits[SequenceKind.ALL_LOWEST_TERMS][:60_000].tolist()
