@@ -14,6 +14,7 @@ stays faithful at any depth.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -24,12 +25,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import Convention, Rational, continuants, expand
-from .enumeration import KIND_SETS, SequenceKind, count_R, members_block
+from .enumeration import (BLOCK_PAIR_CAP, KIND_SETS, SequenceKind, count_R,
+                          den_block_top, members_block)
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, Pattern, gauss_measure
-from .streams import BLOCK_PAIR_CAP, _euclid_counts, _window_hits
+from .streams import _euclid_counts, _window_hits
 
 CENSUS_ROW_LIMIT = 2 * 10 ** 8
+#: raw pairs in one denominator chunk, the unit of a census's pool work
+CHUNK_PAIRS = 2 * 10 ** 6
 #: every kind's count_R here exceeds CENSUS_ROW_LIMIT (type3's is the least,
 #: 3.08e9), so the row guard never counts, or builds tables, past it
 ROW_COUNT_BOUND = 10 ** 6
@@ -181,37 +185,50 @@ def _classify_block(num: np.ndarray, den: np.ndarray, p: NormalityParams,
     return 2 * len(num) - int(np.count_nonzero(single)), bad
 
 
-def _den_chunks(m: int):
-    """Split the denominators [2, m] so each piece holds at most ~2e6 pairs."""
-    lo = 2
-    while lo <= m:
-        hi = max(lo + 8, math.isqrt(lo * lo + 4_000_000))
-        hi = min(hi, m + 1)
-        yield lo, hi
-        lo = hi
-
-
-def _slices(rows: int):
-    """Bounds of the consecutive slices of at most BLOCK_PAIR_CAP rows that
-    the classifiers work on, so their arrays stay cache-sized."""
-    return ((i, i + BLOCK_PAIR_CAP) for i in range(0, rows, BLOCK_PAIR_CAP))
-
-
-def _census_chunk(args) -> tuple[int, int]:
-    """(rows, abnormal rows) of one denominator chunk, classified slice by
-    slice; a mirror kind enumerates only its members with 2n <= d."""
-    kind_value, lo, hi, eps, s_digits, conv_value = args
-    kind = SequenceKind(kind_value)
-    p = NormalityParams(eps, Pattern(tuple(s_digits)),
-                        Convention(conv_value))
-    mirror = kind in MIRROR_KINDS
-    num, den = members_block(kind, lo, hi, half=mirror)
-    rows = bad = 0
-    for a, b in _slices(len(num)):
-        r, n_bad = _classify_block(num[a:b], den[a:b], p, mirror=mirror)
+def _census_chunk(kind: SequenceKind, lo: int, hi: int, half: bool,
+                  classify: Callable[[np.ndarray, np.ndarray], tuple[int, int]]
+                  ) -> tuple[int, int]:
+    """(rows, counted rows) of the members with lo <= den < hi (with half
+    set, those with 2n <= d), classified by classify in slices of at most
+    BLOCK_PAIR_CAP rows, so its arrays stay cache-sized."""
+    num, den = members_block(kind, lo, hi, half=half)
+    rows = hits = 0
+    for a in range(0, len(num), BLOCK_PAIR_CAP):
+        r, h = classify(num[a:a + BLOCK_PAIR_CAP], den[a:a + BLOCK_PAIR_CAP])
         rows += r
-        bad += n_bad
-    return rows, bad
+        hits += h
+    return rows, hits
+
+
+def _fan_out(runs: Sequence[tuple], threads: int) -> list:
+    """The results of the (fn, *args) runs, in order: from up to threads
+    worker processes, or, with one thread or one run, run in turn."""
+    if threads > 1 and len(runs) > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(runs))) as pool:
+            futures = [pool.submit(*run) for run in runs]
+            return [f.result() for f in futures]
+    return [fn(*args) for fn, *args in runs]
+
+
+def _census(kind: SequenceKind, m: int, half: bool, classify: Callable,
+            threads: int, what: str) -> tuple[int, int]:
+    """(rows, counted rows) over every member with denominator up to m, in
+    denominator chunks of about CHUNK_PAIRS raw pairs fanned out over up to
+    threads processes; the partial counts add.  The row guard refuses a
+    census past CENSUS_ROW_LIMIT, and the rows must total count_R."""
+    expected = _guarded_count(kind, m, what)
+    bounds = [2]
+    while bounds[-1] <= m:
+        bounds.append(min(den_block_top(bounds[-1], CHUNK_PAIRS), m + 1))
+    runs = [(_census_chunk, kind, lo, hi, half, classify)
+            for lo, hi in zip(bounds, bounds[1:])]
+    total = hits = 0
+    for rows, h in _fan_out(runs, threads):
+        total += rows
+        hits += h
+    if total != expected:
+        raise AssertionError(f"classified {total} members, expected {expected}")
+    return total, hits
 
 
 @dataclass
@@ -274,23 +291,12 @@ def run_census(kind: SequenceKind, m: int, p: NormalityParams,
     """
     if m < 3:
         raise ValueError("m must be >= 3")
-    expected = _guarded_count(kind, m, "census")
     start = time.perf_counter()
-    tasks = [(kind.value, a, b, p.epsilon, p.s.digits, p.convention.value)
-             for a, b in _den_chunks(m)]
-    total = abnormal = 0
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            for rows, bad in pool.map(_census_chunk, tasks):
-                total += rows
-                abnormal += bad
-    else:
-        for task in tasks:
-            rows, bad = _census_chunk(task)
-            total += rows
-            abnormal += bad
-    if total != expected:
-        raise AssertionError(f"classified {total} members, expected {expected}")
+    mirror = kind in MIRROR_KINDS  # enumerate only the members with 2n <= d
+    total, abnormal = _census(
+        kind, m, mirror,
+        functools.partial(_classify_block, p=p, mirror=mirror),
+        threads, "census")
     return CensusReport(kind=kind, m=m, params=p, total=total,
                         abnormal=abnormal,
                         wall_time=time.perf_counter() - start)
@@ -369,6 +375,13 @@ def _gamma_block(num: np.ndarray, den: np.ndarray, gp: GammaParams,
     return short | growth_bad | freq_bad
 
 
+def _gamma_rows(num: np.ndarray, den: np.ndarray, gp: GammaParams,
+                convention: Convention) -> tuple[int, int]:
+    """(rows, rows in Gamma) of the given pairs, a classifier for _census."""
+    return len(num), int(np.count_nonzero(
+        _gamma_block(num, den, gp, convention)))
+
+
 @dataclass
 class GammaCensus:
     m: int
@@ -387,16 +400,10 @@ def gamma_census(gp: GammaParams,
     """Count the exceptional rationals among all lowest-terms den <= m."""
     if gp.n < 1:
         raise ValueError("n_delta is 0 for these parameters")
-    expected = _guarded_count(SequenceKind.ALL_LOWEST_TERMS, gp.m, "gamma census")
-    total = members = 0
-    for lo, hi in _den_chunks(gp.m):
-        num, den = members_block(SequenceKind.ALL_LOWEST_TERMS, lo, hi)
-        total += len(num)
-        for a, b in _slices(len(num)):
-            members += int(np.count_nonzero(
-                _gamma_block(num[a:b], den[a:b], gp, convention)))
-    if total != expected:
-        raise AssertionError(f"classified {total} members, expected {expected}")
+    total, members = _census(
+        SequenceKind.ALL_LOWEST_TERMS, gp.m, False,
+        functools.partial(_gamma_rows, gp=gp, convention=convention),
+        1, "gamma census")
     return GammaCensus(m=gp.m, params=gp, convention=convention,
                        total=total, members=members)
 
@@ -928,12 +935,7 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
         (_tilted_tail_run, d, theta_lo, cps, n_samples, frac_lo, False, seeds[3]),
         (_f_decay_run, cps, n_samples, eps_f, seeds[4]),
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, 3)) as pool:
-            futures = [pool.submit(*run) for run in runs]
-            hi_out, lo_out, rows_f = (f.result() for f in futures)
-    else:
-        hi_out, lo_out, rows_f = (fn(*args) for fn, *args in runs)
+    hi_out, lo_out, rows_f = _fan_out(runs, threads)
 
     rows_e = []
     for cp in cps:

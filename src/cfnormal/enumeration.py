@@ -227,8 +227,16 @@ def _aks_dup_at(i: int) -> tuple[int, int]:
     return (i - k * (k - 1) // 2, k + 1)
 
 
-#: candidate numerators members_at sieves in one _member_rows call
-ROW_GROUP = 1 << 18
+#: most member pairs in one block of rows: a digit block of
+#: iter_digit_blocks, a census slice, or a group of members_at's candidates;
+#: bounds the digits, and so the memory, that one block holds at once
+BLOCK_PAIR_CAP = 1 << 16
+
+
+def den_block_top(d_lo: int, pairs: float) -> int:
+    """The d_hi > d_lo whose denominators [d_lo, d_hi) hold about `pairs`
+    raw pairs n/d, 0 < n < d: about (d_hi**2 - d_lo**2) / 2."""
+    return max(d_lo + 1, math.isqrt(d_lo * d_lo + int(2.0 * pairs)))
 
 
 def check_indices(kind: SequenceKind, indices: Sequence[int]) -> None:
@@ -254,7 +262,7 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
     The denominator comes from a searchsorted on the cumulative count, the
     numerator from that denominator's row of members_block.
     The rows of the distinct denominators are built in ascending groups of
-    at most ROW_GROUP candidate numerators (every row holds d - 1; a
+    at most BLOCK_PAIR_CAP candidate numerators (every row holds d - 1; a
     longer row makes a group of its own), and each group's indices
     read their numerators in one gather, so the tables reach the largest
     denominator only.  Since count_R(kind, m) <= m(m-1)/2, index i needs a
@@ -286,7 +294,8 @@ def members_at(kind: SequenceKind, indices: Sequence[int]
     a = 0
     while a < len(rows):
         b = max(a + 1, int(np.searchsorted(
-            first_candidate, first_candidate[a] + ROW_GROUP, side="right")) - 1)
+            first_candidate, first_candidate[a] + BLOCK_PAIR_CAP,
+            side="right")) - 1)
         num, den = _member_rows(kind, rows[a:b])
         group = order[first_index[a]:first_index[b]]
         nums[group] = num[np.searchsorted(den, dens[group]) + offsets[group]]

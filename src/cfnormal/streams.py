@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .core import Convention, cf_digits, continuants
-from .enumeration import SequenceKind, iter_members, members_block
+from .enumeration import (BLOCK_PAIR_CAP, SequenceKind, den_block_top,
+                          iter_members, members_block)
 from .errors import ResourceLimitError
 from .measures import KHINCHIN_LEVY, GOLDEN, Pattern, gauss_measure, pattern_grid
 
@@ -233,22 +234,10 @@ def flatten_digit_matrix(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 HEILBRONN_PORTER = 12.0 * math.log(2.0) / math.pi ** 2
 PORTER_CONSTANT = 1.4670780794
 
-#: most member pairs in one block of iter_digit_blocks; bounds the digits,
-#: and so the memory, that one block holds at once
-BLOCK_PAIR_CAP = 1 << 16
-
 
 def _mean_expansion_length(den: int, convention: Convention) -> float:
     length = HEILBRONN_PORTER * math.log(den) + PORTER_CONSTANT - 1.0
     return length + (1.0 if convention is Convention.LONG else 0.0)
-
-
-def _block_top(d_lo: int, digits: int, per_pair: float, density: float) -> int:
-    """The d_hi > d_lo whose block [d_lo, d_hi) holds about `digits` digits,
-    or BLOCK_PAIR_CAP pairs if fewer, when each denominator d has
-    density * d numerators of per_pair digits each."""
-    pairs = min(digits / per_pair, BLOCK_PAIR_CAP)
-    return max(d_lo + 1, math.isqrt(d_lo * d_lo + int(2.0 * pairs / density)))
 
 
 def iter_digit_blocks(kind: SequenceKind, convention: Convention,
@@ -265,9 +254,11 @@ def iter_digit_blocks(kind: SequenceKind, convention: Convention,
     later block takes the density that the block before it produced, and
     the digits per pair it produced scaled by the growth of that mean from
     its top denominator to the new one, since expansions lengthen with the
-    denominator.  No block holds more than BLOCK_PAIR_CAP pairs, so a
-    consumer that reads one block at a time holds bounded memory for any
-    n_digits.
+    denominator.  A block planned past BLOCK_PAIR_CAP pairs ends at the
+    last whole denominator within the cap, and the next block is planned
+    from there.  So no block holds more than BLOCK_PAIR_CAP pairs (unless
+    one denominator alone has more), and a consumer that reads one block at
+    a time holds bounded memory for any n_digits.
     """
     if n_digits < 0:
         raise ValueError("n_digits must be >= 0")
@@ -281,8 +272,13 @@ def iter_digit_blocks(kind: SequenceKind, convention: Convention,
         d_hi = d_lo + 1
         for _ in range(4):
             per_pair = scale * _mean_expansion_length(d_hi, convention)
-            d_hi = _block_top(d_lo, missing, per_pair, density)
+            d_hi = den_block_top(
+                d_lo, min(missing / per_pair, BLOCK_PAIR_CAP) / density)
         num, den = members_block(kind, d_lo, d_hi)
+        if len(num) > BLOCK_PAIR_CAP:
+            d_hi = max(int(den[BLOCK_PAIR_CAP]), int(den[0]) + 1)
+            cut = int(np.searchsorted(den, d_hi))
+            num, den = num[:cut], den[:cut]
         if len(num):
             digits, _ = flat_digits(num, den, convention)
             have += len(digits)
@@ -572,14 +568,8 @@ class GrowthTracker:
         elif len(a) and a.min() < 1:
             raise ValueError("digits must be >= 1")
         a = a.astype(np.int64, copy=False)
-        lo = 0
-        while lo < len(a):
-            size = GROWTH_CHUNK
-            if self.audit_interval <= size:
-                # end the chunk where an audit window ends
-                size -= (self._kept + size) % self.audit_interval
-            self._update_chunk(a[lo:lo + size])
-            lo += size
+        for lo in range(0, len(a), GROWTH_CHUNK):
+            self._update_chunk(a[lo:lo + GROWTH_CHUNK])
 
     def _update_chunk(self, a: np.ndarray) -> None:
         t = _ratio_recurrence(a, self.ratio)
@@ -848,7 +838,7 @@ def hypothesis_ratios(kind: SequenceKind,
     lengths, have, d_lo = [], 0, 2
     while have < 4 * n:
         # density 1 and a digit a pair: no more pairs than digits missing
-        d_hi = _block_top(d_lo, 4 * n - have, 1.0, 1.0)
+        d_hi = den_block_top(d_lo, min(4 * n - have, BLOCK_PAIR_CAP))
         num, den = members_block(kind, d_lo, d_hi)
         lengths.append(_euclid_counts(num, den, (), convention, 0)[0])
         have += int(lengths[-1].sum())
@@ -888,29 +878,13 @@ def format_header(kind: Optional[SequenceKind], convention: Convention) -> str:
     return f"{CFDIGITS_HEADER_VERSION} kind={kind_name} conv={convention.value}"
 
 
-def encode_varint(value: int) -> bytes:
-    """Unsigned LEB128."""
-    if value < 0:
-        raise ValueError("varint encodes nonnegative integers")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
 def encode_varints(values: Union[Sequence[int], np.ndarray]) -> bytes:
     """Unsigned LEB128 of each value below 2**63, concatenated.
 
-    The vectorised form of encode_varint.  A value below 128 is its own byte,
-    so a stream of small digits encodes in one astype pass.  Each larger
-    value gets its low 7-bit group with bit 7 set in its own place, and its
-    higher groups are inserted after it, low group first, every group but
-    its last again with bit 7 set.
+    A value below 128 is its own byte, so a stream of small digits encodes
+    in one astype pass.  Each larger value gets its low 7-bit group with bit
+    7 set in its own place, and its higher groups are inserted after it, low
+    group first, every group but its last again with bit 7 set.
     """
     v = np.asarray(values, dtype=np.int64)
     if len(v) and v.min() < 0:

@@ -11,7 +11,7 @@ from cfnormal import census, streams
 from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
                              GaussDigitSampler, NormalityParams,
                              _block_occurrences, _classify_block,
-                             _den_chunks, _digit_of, _euclid_counts,
+                             _digit_of, _euclid_counts,
                              _gamma_block, _tune_theta,
                              continuant_den, digit_length, ef_decay_estimates,
                              estimate_measure, gamma_census,
@@ -254,11 +254,17 @@ class TestCensusKernel:
         (SequenceKind.TYPE2, Convention.LONG, (1, 1)),
         (SequenceKind.TYPE3, Convention.SHORT, (3,)),
     ])
-    def test_run_census_matches_oracle(self, kind, conv, s):
+    def test_run_census_matches_oracle(self, kind, conv, s, monkeypatch):
         # m = 2100 spans two denominator chunks; the oracle walks blocks of
         # 100 denominators to keep its digit matrices small
         m = 2100
-        assert len(list(_den_chunks(m))) == 2
+        chunks = []
+        fan_out = census._fan_out
+
+        def recording(runs, threads):
+            chunks.append(len(runs))
+            return fan_out(runs, threads)
+        monkeypatch.setattr(census, "_fan_out", recording)
         p = NormalityParams(0.25, Pattern(s), conv)
         rows = bad = 0
         for lo in range(2, m + 1, 100):
@@ -269,6 +275,7 @@ class TestCensusKernel:
         for threads in (1, 2):
             report = run_census(kind, m, p, threads=threads)
             assert (report.total, report.abnormal) == (rows, bad)
+        assert chunks == [2, 2]
 
 
 class TestSlices:
@@ -773,6 +780,22 @@ class TestSelectFreeDraw:
         # from the two-parameter start state to past the merge
         assert merged_at is not None and 0 < merged_at < 100
 
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_a_complement_draw_on_the_edge_of_d_gives_d_plus_one(
+            self, d, monkeypatch):
+        # a complement row whose inverse CDF lands on 1/d, the closed end of
+        # d's interval (1/(d+1), 1/d], would read d: the guard moves it to
+        # d + 1, so the rows that emit d are exactly the picked ones
+        rows = 1000
+        sampler = GaussDigitSampler(rows)
+        edge = np.full(rows, 1.0 / d)
+        assert (_digit_of(edge) == d).all()
+        monkeypatch.setattr(sampler, "_inverse", lambda u: edge.copy())
+        u = np.random.default_rng(5).random(rows)
+        a, pick, _, _ = sampler.draw_tilted(math.exp(0.95), d, u)
+        assert 0 < np.count_nonzero(pick) < rows
+        assert (a[pick] == d).all() and (a[~pick] == d + 1).all()
+
     def test_digit_of_matches_the_clip_formula(self):
         y = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
                       2.0 ** -62, 2.0 ** -63, 1.0 / 3.0, 1.0, 2.0, -1.0])
@@ -920,9 +943,11 @@ class TestPinnedOutputs:
         assert (est.mean, est.stderr) == (1.1840401942191074,
                                           0.0023827105194981738)
 
-    def test_ef_decay_report(self):
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_ef_decay_report(self, threads):
+        # threads > 1 runs the three passes in worker processes
         doc = ef_decay_estimates(checkpoints=(10, 50), n_samples=2000,
-                                 seed=4).to_json_dict()
+                                 seed=4, threads=threads).to_json_dict()
         assert (doc["params"]["theta_hi"], doc["params"]["theta_lo"]) == (
             0.9044956699511251, -1.0621401940435613)
         assert doc["rows_e"] == [

@@ -306,11 +306,12 @@ def test_squarefree_count_builds_no_tables(m, count, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", list(SequenceKind))
-@pytest.mark.parametrize("row_group", [enumeration.ROW_GROUP, 40_000, 1_500])
-def test_index_path_agrees_with_members_block(kind, row_group, monkeypatch):
-    # 40_000 candidates split the picks' rows into several groups; at 1_500
+@pytest.mark.parametrize("cap", [enumeration.BLOCK_PAIR_CAP, 40_000, 1_500])
+def test_index_path_agrees_with_members_block(kind, cap, monkeypatch):
+    # members_at builds its rows in groups of at most BLOCK_PAIR_CAP
+    # candidates; 40_000 split the picks' rows into several groups; at 1_500
     # every row above denominator 1501 is longer than a group and sits alone
-    monkeypatch.setattr(enumeration, "ROW_GROUP", row_group)
+    monkeypatch.setattr(enumeration, "BLOCK_PAIR_CAP", cap)
     groups = []
     member_rows = enumeration._member_rows
 
@@ -338,9 +339,9 @@ def test_index_path_agrees_with_members_block(kind, row_group, monkeypatch):
     assert np.array_equal(got_den, den[picks - 1])
     if kind is not SequenceKind.ALL_WITH_DUPLICATES:
         assert [d for g in groups for d in g] == sorted(set(den[picks - 1]))
-        if row_group < enumeration.ROW_GROUP:
+        if cap <= 40_000:
             assert len(groups) >= 3
-        if row_group == 1_500:
+        if cap == 1_500:
             assert [int(den[top - 1])] in groups
     # repeated and unsorted indices, the last rows' members among them
     mixed = np.concatenate([picks[::-1], picks[:50], [top, top, 1, top - 1]])

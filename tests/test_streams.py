@@ -14,13 +14,14 @@ from conftest import ratio_rows
 from cfnormal import streams
 from cfnormal.census import continuant_den
 from cfnormal.core import Convention, cf_digits
-from cfnormal.enumeration import SequenceKind, iter_members, members_block
+from cfnormal.enumeration import (BLOCK_PAIR_CAP, SequenceKind, iter_members,
+                                  members_block)
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import Pattern, gauss_measure, pattern_grid
 from cfnormal.streams import (DigitStream, FrequencyTracker, GridCounter,
                               GrowthTracker, count_pattern_array,
                               count_patterns, decode_varints, digit_block,
-                              digit_matrix, encode_varint, encode_varints,
+                              digit_matrix, encode_varints,
                               flat_digits, flatten_digit_matrix,
                               format_header, hypothesis_ratios,
                               iter_digit_blocks, normality_report)
@@ -130,6 +131,27 @@ class TestVectorizedGeneration:
         assert len(blocks) >= 2
         with pytest.raises(ValueError):
             next(iter_digit_blocks(kind, conv, -1))
+
+    @pytest.mark.parametrize("kind, conv, n", [
+        (SequenceKind.ALL_WITH_DUPLICATES, Convention.SHORT, 3 * 10 ** 6),
+        (SequenceKind.SQUAREFREE_BOTH, Convention.SHORT, 10 ** 6),
+        (SequenceKind.ALL_LOWEST_TERMS, Convention.LONG, 10 ** 7),
+    ])
+    def test_no_block_holds_more_than_the_cap(self, kind, conv, n,
+                                               monkeypatch):
+        # each block's density is estimated from the block before it, and
+        # on these requests the estimate falls short at least once
+        blocks = []
+        flat = streams.flat_digits
+
+        def recording(num, den, convention):
+            blocks.append((len(num), int(den[0]), int(den[-1])))
+            return flat(num, den, convention)
+        monkeypatch.setattr(streams, "flat_digits", recording)
+        assert sum(map(len, iter_digit_blocks(kind, conv, n))) == n
+        assert max(pairs for pairs, _, _ in blocks) <= BLOCK_PAIR_CAP
+        # whole denominators, in order
+        assert all(a[2] < b[1] for a, b in zip(blocks, blocks[1:]))
 
     def test_digit_pipeline_never_calls_gcd(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -662,6 +684,21 @@ def test_header_format():
         "cfdigits v1 kind=indices conv=long"
 
 
+def encode_varint(value: int) -> bytes:
+    """Unsigned LEB128 of one value, a group at a time: the oracle for
+    encode_varints."""
+    assert value >= 0
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
 class TestVarint:
     @given(st.lists(st.integers(0, 2 ** 70), max_size=50))
     def test_round_trip(self, values):
@@ -674,8 +711,6 @@ class TestVarint:
         assert encode_varint(128) == b"\x80\x01"
 
     def test_rejects_negative_and_truncated(self):
-        with pytest.raises(ValueError):
-            encode_varint(-1)
         with pytest.raises(ValueError):
             encode_varints(np.array([5, -1]))
         with pytest.raises(ValueError):
