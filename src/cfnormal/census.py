@@ -282,13 +282,15 @@ def _guarded_count(kind: SequenceKind, m: int, what: str) -> int:
 
 
 def run_census(kind: SequenceKind, m: int, p: NormalityParams,
-               threads: int = 1) -> CensusReport:
+               threads: Optional[int] = 1) -> CensusReport:
     """Classify every member with denominator up to m.
 
     Work proceeds over denominator chunks sized to keep the member arrays
     modest; with threads > 1 the chunks fan out over processes and the
-    partial counts merge additively.
+    partial counts merge additively.  threads goes through resolve_threads,
+    so None reads CFNORMAL_THREADS or the core count.
     """
+    threads = resolve_threads(threads)
     if m < 3:
         raise ValueError("m must be >= 3")
     start = time.perf_counter()
@@ -899,7 +901,7 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
                        s: Union[Pattern, Sequence[int]] = (1,),
                        eps_f: float = 0.1,
                        seed: int = 0,
-                       threads: int = 1) -> EFDecayReport:
+                       threads: Optional[int] = 1) -> EFDecayReport:
     """Monte Carlo decay of both exceptional sets along one set of depths.
 
     The growth set is estimated by plain sampling.  The frequency set is far
@@ -908,7 +910,8 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
     chain, exponentially tilted so the tilted mean frequency sits at the
     tail's own threshold; weighted averages are unbiased for the plain
     chain, and the two tails add.  Estimates are reported both raw (which
-    may underflow to zero at large depth) and in the log domain.
+    may underflow to zero at large depth) and in the log domain.  The three
+    passes run on up to threads processes, resolved as run_census does.
     """
     s = Pattern.coerce(s)
     if len(s) != 1:
@@ -921,8 +924,7 @@ def ef_decay_estimates(checkpoints: Sequence[int] = (100, 1000, 10 ** 4),
     for name, eps in (("eps_e", eps_e), ("eps_f", eps_f)):
         if not (math.isfinite(eps) and eps > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {eps}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    threads = resolve_threads(threads)
     d = s.digits[0]
     mu = gauss_measure(s)
     frac_hi = (1.0 + eps_e) * mu

@@ -17,7 +17,7 @@ from typing import BinaryIO, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .census import NormalityParams, resolve_threads, run_census
+from .census import NormalityParams, run_census
 from .core import Convention, Rational, convergents, expand
 from .enumeration import SequenceKind, check_indices, count_R, members_at
 from .errors import ResourceLimitError
@@ -162,8 +162,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     params = NormalityParams(args.eps, Pattern.parse(args.s), args.conv)
-    report = run_census(args.kind, args.m, params,
-                        threads=resolve_threads(args.threads))
+    report = run_census(args.kind, args.m, params, threads=args.threads)
     if args.format == "csv":
         _write_text(args.out, report.CSV_HEADER + "\n" + report.to_csv_row() + "\n")
     else:

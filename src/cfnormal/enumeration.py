@@ -17,8 +17,9 @@ import numpy as np
 
 from .core import Rational
 from .errors import ResourceLimitError
-from .sieves import (SIEVE_LIMIT_MAX, ArithTables, factorize_distinct,
-                     get_tables, mobius_sieve, prime_sieve)
+from .sieves import (SIEVE_LIMIT_MAX, ArithTables, check_sieve_limit,
+                     factorize_distinct, get_tables, mobius_sieve,
+                     prime_sieve)
 
 Member = Union[Rational, tuple[int, int]]
 
@@ -186,25 +187,6 @@ def _count_squarefree_both(m: int) -> int:
     return (total - 1) // 2
 
 
-def _count_prime_kind(kind: SequenceKind, m: int) -> int:
-    # Sums over the primes p <= m alone, so only the prime sieve is built:
-    #   type1  sum_p (p - 1)
-    #   type2  sum_{d<=m} pi(d) - omega(d)
-    #          = sum_p (m - p) - sum_p floor(m/p) + pi(m)
-    #   type3  C(pi(m), 2)
-    primes = np.flatnonzero(prime_sieve(m))
-    n = len(primes)
-    if kind is SequenceKind.TYPE3:
-        return n * (n - 1) // 2
-    total = int(primes.sum())
-    if kind is SequenceKind.TYPE1:
-        return total - n
-    if kind is SequenceKind.TYPE2:
-        np.floor_divide(m, primes, out=primes)
-        return m * n - total - int(primes.sum()) + n
-    raise AssertionError(kind)  # pragma: no cover
-
-
 def count_R(kind: SequenceKind, m: int) -> int:
     """Exact number of members with denominator at most m, without enumeration."""
     if m < 1:
@@ -217,7 +199,21 @@ def count_R(kind: SequenceKind, m: int) -> int:
         return _count_squarefree_both(m)
     if kind is SequenceKind.ALL_LOWEST_TERMS:
         return int(_cumulative(kind, m)[m])
-    return _count_prime_kind(kind, m)
+    # the prime kinds sum over the primes p <= m alone, so only the prime
+    # sieve is built:
+    #   type1  sum_p (p - 1)
+    #   type2  sum_{d<=m} pi(d) - omega(d)
+    #          = sum_p (m - p) - sum_p floor(m/p) + pi(m)
+    #   type3  C(pi(m), 2)
+    primes = np.flatnonzero(prime_sieve(m))
+    n = len(primes)
+    if kind is SequenceKind.TYPE3:
+        return n * (n - 1) // 2
+    total = int(primes.sum())
+    if kind is SequenceKind.TYPE1:
+        return total - n
+    np.floor_divide(m, primes, out=primes)
+    return m * n - total - int(primes.sum()) + n
 
 
 def _aks_dup_at(i: int) -> tuple[int, int]:
@@ -356,7 +352,9 @@ def _member_rows(kind: SequenceKind, dens: np.ndarray, half: bool = False
                  ) -> tuple[np.ndarray, np.ndarray]:
     """members_block over the rows of dens, a non-empty ascending int64
     array of distinct denominators >= 2; those outside the kind's
-    denominator set give no row.  The tables are read only for a set's mask."""
+    denominator set give no row.  The tables are read only for a set's mask.
+    A denominator past the sieve limit is refused before any row is built."""
+    check_sieve_limit(int(dens[-1]))
     den_set, num_set = KIND_SETS[kind]
     if den_set or num_set:
         tables = get_tables(int(dens[-1]))

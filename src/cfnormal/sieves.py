@@ -61,15 +61,22 @@ class ArithTables:
 _COFACTOR_CHUNK = 1 << 16
 
 
+def check_sieve_limit(limit: int) -> None:
+    """Refuse a limit below 1 (ValueError) or above SIEVE_LIMIT_MAX
+    (ResourceLimitError): the one check before a sieve, a table or a member
+    row is sized from it."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    if limit > SIEVE_LIMIT_MAX:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
+
+
 def prime_sieve(limit: int) -> np.ndarray:
     """is_prime on 0..limit (inclusive), by the sieve of Eratosthenes.
 
     A limit above SIEVE_LIMIT_MAX is refused before anything is allocated.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > SIEVE_LIMIT_MAX:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
+    check_sieve_limit(limit)
     isp = np.ones(limit + 1, dtype=bool)
     isp[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -88,10 +95,7 @@ def mobius_sieve(limit: int) -> np.ndarray:
     above sqrt(limit), and a chunked pass flips its sign.  A limit above
     SIEVE_LIMIT_MAX is refused before anything is allocated.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if limit > SIEVE_LIMIT_MAX:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds {SIEVE_LIMIT_MAX}")
+    check_sieve_limit(limit)
     n = limit + 1
     mob = np.ones(n, dtype=np.int8)
     product = np.ones(n, dtype=np.int32)

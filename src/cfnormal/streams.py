@@ -12,10 +12,10 @@ generator (iter_digit_blocks) that runs the Euclidean algorithm across whole
 denominator ranges at once.  They must agree digit for digit; tests hold
 them to that.  The vectorized side is one int32 kernel, _euclid_counts,
 which writes each block's digits flat, with no padded matrix, and which
-digit_matrix and the census classifiers in census.py share.  A block holds
-at most BLOCK_PAIR_CAP member pairs, and normality_report and the stream
-commands of the command line read one block at a time, so their memory
-does not grow with the number of digits.
+flat_digits (and through it digit_matrix) and the census classifiers in
+census.py share.  A block holds at most BLOCK_PAIR_CAP member pairs, and
+normality_report and the stream commands of the command line read one
+block at a time, so their memory does not grow with the number of digits.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .core import Convention, cf_digits, continuants
 from .enumeration import (BLOCK_PAIR_CAP, SequenceKind, den_block_top,
                           iter_members, members_block)
 from .errors import ResourceLimitError
-from .measures import KHINCHIN_LEVY, GOLDEN, Pattern, gauss_measure, pattern_grid
+from .measures import KHINCHIN_LEVY, Pattern, gauss_measure, pattern_grid
 
 
 #: GrowthTracker audits its running log against exact continuants this often
@@ -70,12 +70,6 @@ class DigitStream:
         return list(itertools.islice(self, max(n, 0)))
 
 
-def _max_expansion_length(max_den: int, convention: Convention) -> int:
-    # q_L >= Fibonacci(L+1) >= G^(L-1), so L <= log_G(den) + 2; long adds one.
-    length = int(math.log(max(max_den, 2)) / math.log(GOLDEN)) + 3
-    return length + (1 if convention is Convention.LONG else 0)
-
-
 def _window_hits(window: Sequence, s_digits: tuple[int, ...]):
     """Rowwise window == s, for a window given as k digit columns (arrays
     or scalars), oldest first."""
@@ -91,7 +85,7 @@ def _euclid_counts(num: np.ndarray, den: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(lengths, counts of s, digits, gcd) of each row num/den.
 
-    The package's one vectorised Euclid: digit_matrix, the block stream, the
+    The package's one vectorised Euclid: flat_digits, the block stream, the
     census and the Gamma census all run on it.  The Euclidean algorithm
     steps all rows in lockstep, one column at a time, over the rows still
     running; their row numbers and remainders are compacted as rows finish.
@@ -102,9 +96,10 @@ def _euclid_counts(num: np.ndarray, den: np.ndarray,
     terms, and the last divisor of each row is its gcd.
 
     With an int `width`, digits holds the leading `width` digits of each
-    row, column-major and zero past lengths[i].  With width None it is flat:
-    every digit of row 0, then of row 1, and so on.  The loop then keeps
-    each column's live row numbers and quotients, arrays it allocates
+    row, column-major and zero past lengths[i]: len(s) columns for the
+    census, n for Gamma and none for hypothesis_ratios.  With width None it
+    is flat: every digit of row 0, then of row 1, and so on.  The loop then
+    keeps each column's live row numbers and quotients, arrays it allocates
     anyway, and scatters them once at the end to start[row] + column.  With
     s empty only lengths and digits are written; counts and gcd come back
     uninitialised.  The Euclid state is int32, so every denominator must lie
@@ -180,46 +175,37 @@ def _euclid_counts(num: np.ndarray, den: np.ndarray,
     return lengths, counts, first, gcd
 
 
-def _checked_rows(num, den) -> tuple[np.ndarray, np.ndarray]:
-    num = np.asarray(num, dtype=np.int64)
-    den = np.asarray(den, dtype=np.int64)
-    if num.shape != den.shape:
-        raise ValueError("num and den must have the same shape")
-    if len(num) and (np.any(num < 1) or np.any(num >= den)):
-        raise ValueError("need 0 < num < den rowwise")
-    return num, den
-
-
-def digit_matrix(num: np.ndarray, den: np.ndarray,
-                 convention: Convention = Convention.LONG
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise continued fraction digits of num/den, reduced or not: the
-    quotients are those of the reduced value.
-
-    Returns (matrix, lengths): matrix[i, :lengths[i]] are the digits of row i
-    and the padding is zero.  The matrix is int64, column-major and as wide
-    as the longest expansion a denominator of the block can have; the digits
-    come from the lockstep Euclid _euclid_counts, so every denominator must
-    lie below 2^31 (OverflowError otherwise).
-    """
-    num, den = _checked_rows(num, den)
-    width = _max_expansion_length(int(den.max()) if len(den) else 2, convention)
-    lengths, _, mat, _ = _euclid_counts(num, den, (), convention, width)
-    return mat, lengths
-
-
 def flat_digits(num: np.ndarray, den: np.ndarray,
                 convention: Convention = Convention.LONG
                 ) -> tuple[np.ndarray, np.ndarray]:
     """(digits, lengths): the continued fraction digits of every row num/den
     concatenated in row order as int64, and each row's digit count.
 
-    The same digits as flatten_digit_matrix(*digit_matrix(...)), written
-    straight from the lockstep Euclid with no padded matrix between.
+    The quotients of an unreduced row are those of its reduced value.  The
+    digits come straight from the lockstep Euclid _euclid_counts, so every
+    denominator must lie below 2^31 (OverflowError otherwise).
     """
-    num, den = _checked_rows(num, den)
+    num = np.asarray(num, dtype=np.int64)
+    den = np.asarray(den, dtype=np.int64)
+    if num.shape != den.shape:
+        raise ValueError("num and den must have the same shape")
+    if len(num) and (np.any(num < 1) or np.any(num >= den)):
+        raise ValueError("need 0 < num < den rowwise")
     lengths, _, digits, _ = _euclid_counts(num, den, (), convention, None)
     return digits, lengths
+
+
+def digit_matrix(num: np.ndarray, den: np.ndarray,
+                 convention: Convention = Convention.LONG
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, lengths): flat_digits laid out one row each, so that
+    matrix[i, :lengths[i]] are the digits of row i.  The matrix is int64,
+    as wide as the longest row, and zero past each row's length."""
+    digits, lengths = flat_digits(num, den, convention)
+    width = int(lengths.max(initial=0))
+    mat = np.zeros((len(lengths), width), dtype=np.int64)
+    mat[np.arange(width) < lengths[:, None]] = digits
+    return mat, lengths
 
 
 def flatten_digit_matrix(mat: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from cfnormal.core import Convention, Rational, cf_digits, expand
 from cfnormal.enumeration import SequenceKind, count_R, enumerate_R, members_block
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import GOLDEN, KHINCHIN_LEVY, Pattern, cylinder_geometry, gauss_measure
-from cfnormal.streams import digit_matrix
+from cfnormal.streams import digit_matrix, flat_digits, flatten_digit_matrix
 
 ALL = SequenceKind.ALL_LOWEST_TERMS
 
@@ -146,6 +146,17 @@ class TestRunCensus:
             with pytest.raises(ValueError, match="CFNORMAL_THREADS"):
                 resolve_threads()
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_a_thread_count_below_one_is_refused(self, threads):
+        # before the m check, as the command line did when it resolved
+        # the count itself
+        p = NormalityParams(0.25, Pattern((1,)))
+        for m in (100, 2):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                run_census(ALL, m, p, threads=threads)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            ef_decay_estimates(threads=threads)
+
 
 KERNEL_PATTERNS = [(1,), (2,), (1, 1), (1, 2), (2, 1, 1), (3,)]
 
@@ -178,6 +189,10 @@ class TestCensusKernel:
         assert mat_len.tolist() == lengths
         assert mat.tolist() == [o + [0] * (mat.shape[1] - len(o))
                                 for o in digits]
+        # flat_digits laid out one row each, as wide as the longest row
+        assert mat.shape[1] == max(lengths)
+        assert np.array_equal(flatten_digit_matrix(mat, mat_len),
+                              flat_digits(num, den, conv)[0])
         for s in KERNEL_PATTERNS:
             counts = [_scalar_count(o, s) for o in digits]
             for width in (len(s), 7):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,49 @@ def test_check_indices_refuses_what_members_at_refuses(kind):
         check_indices(kind, indices)
     if kind is SequenceKind.ALL_WITH_DUPLICATES:
         check_indices(kind, [far])
+
+
+#: a sieve limit small enough that building past it would show in a
+#: tracemalloc peak; PAST is a prime, so 2/PAST is a member of every kind
+GUARD_LIMIT = 10 ** 6
+PAST = GUARD_LIMIT + 3
+#: an index whose denominator bound sqrt(2i) passes GUARD_LIMIT
+PAST_INDEX = GUARD_LIMIT ** 2 // 2 + 1
+
+
+def _sized_calls():
+    """Every call that sizes a sieve, a table or a member row from its
+    argument, with an argument past GUARD_LIMIT."""
+    for fn in (sieves.prime_sieve, sieves.mobius_sieve, sieves.build_tables):
+        yield pytest.param(fn, (PAST,), id=fn.__name__)
+    for kind in SequenceKind:
+        yield pytest.param(members_block, (kind, PAST, PAST + 1),
+                           id=f"members_block-{kind.value}")
+    for kind in REDUCED_KINDS:
+        yield pytest.param(count_R, (kind, PAST), id=f"count_R-{kind.value}")
+        yield pytest.param(members_at, (kind, [PAST_INDEX]),
+                           id=f"members_at-{kind.value}")
+        yield pytest.param(rational_at, (kind, PAST_INDEX),
+                           id=f"rational_at-{kind.value}")
+        yield pytest.param(index_of, (kind, Rational(2, PAST)),
+                           id=f"index_of-{kind.value}")
+
+
+@pytest.mark.parametrize("fn, args", list(_sized_calls()))
+def test_past_the_sieve_limit_is_refused_before_allocating(fn, args,
+                                                           monkeypatch):
+    monkeypatch.setattr(sieves, "SIEVE_LIMIT_MAX", GUARD_LIMIT)
+    monkeypatch.setattr(enumeration, "SIEVE_LIMIT_MAX", GUARD_LIMIT)
+    monkeypatch.setattr(sieves, "_CACHED", None)
+    monkeypatch.setattr(enumeration, "_CUMULATIVE", {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6, f"{peak / 1e6:.1f} MB traced before the refusal"
 
 
 @given(st.integers(1, 10 ** 30))

@@ -87,6 +87,8 @@ class TestVectorizedGeneration:
                                     Convention.LONG)
         rows = [mat[i, :lengths[i]].tolist() for i in range(3)]
         assert rows == [[1, 1], [1, 1, 1], [1, 1, 1, 1]]
+        assert mat.shape == (3, 4)  # as wide as the longest row
+        assert not mat[0, 2:].any() and not mat[1, 3:].any()
         flat = flatten_digit_matrix(mat, lengths)
         assert flat.tolist() == [1, 1, 1, 1, 1, 1, 1, 1, 1]
 
@@ -220,6 +222,36 @@ class TestVectorizedGeneration:
         assert len(digit_block(kind, conv, n)) == n
         assert sum(computed) <= 1.05 * n, (
             f"computed {sum(computed)} digits for {n} in {len(computed)} blocks")
+
+
+#: the s=[1] frequency gaps between conventions at N = 10**6 that
+#: test_convention_independence_of_digit_frequencies prints, at its precision
+CONVENTION_GAPS = {"aks-dup": 0.15835, "all": 0.14273, "squarefree": 0.13666,
+                   "type1": 0.13162, "type2": 0.13692, "type3": 0.12168}
+
+
+def test_convention_gaps_are_pinned(long_digits):
+    # the convention red stays red whatever its gaps are; this pin catches
+    # a change in them
+    n = len(next(iter(long_digits.values()))) - 1
+    gaps = {}
+    for kind in SequenceKind:
+        f_long = float((long_digits[kind][:n] == 1).mean())
+        f_short = float((digit_block(kind, Convention.SHORT, n) == 1).mean())
+        gaps[kind.value] = round(abs(f_short - f_long), 5)
+    assert gaps == CONVENTION_GAPS
+
+
+@pytest.mark.parametrize("kind", list(SequenceKind))
+def test_long_adds_a_one_per_member_and_another_after_a_two(kind):
+    # the source of the convention gap: LONG writes a member's last digit
+    # a >= 2 as (a - 1, 1), one more 1, and a second one when a = 2
+    num, den = members_block(kind, 2, 400)
+    short, lengths = flat_digits(num, den, Convention.SHORT)
+    long_, _ = flat_digits(num, den, Convention.LONG)
+    ends_in_two = np.count_nonzero(short[np.cumsum(lengths) - 1] == 2)
+    assert (np.count_nonzero(long_ == 1)
+            == np.count_nonzero(short == 1) + len(num) + ends_in_two)
 
 
 def test_convention_independence_of_digit_frequencies(long_digits):
