@@ -325,8 +325,8 @@ class GammaParams:
 
     def __post_init__(self) -> None:
         n_delta(self.m, self.delta)  # validates m and delta
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         object.__setattr__(self, "s", Pattern.coerce(self.s))
 
     @property
@@ -352,7 +352,7 @@ def in_gamma(r: Rational, gp: GammaParams,
     digits = expand(r, convention).digits
     if len(digits) < n:
         return True
-    if abs(math.log(continuant_den(digits[:n])) / n - KHINCHIN_LEVY) > gp.delta:
+    if abs(math.log(continuants(digits[:n])[3]) / n - KHINCHIN_LEVY) > gp.delta:
         return True
     freq = _window_count(digits, gp.s.digits, n - len(gp.s) + 1) / n
     return abs(freq - gauss_measure(gp.s)) > gp.eta
@@ -450,11 +450,6 @@ def gamma_prime_contains(prefix: Sequence[int], gp: GammaParams) -> bool:
 # ---------------------------------------------------------------------------
 # exceptional sets of real prefixes
 
-def continuant_den(digits: Sequence[int]) -> int:
-    """Exact q of the finite string (big integer)."""
-    return continuants(digits)[3]
-
-
 def in_E_set(digits: Sequence[int], epsilon: float,
              s: Union[Pattern, Sequence[int]], n: int) -> bool:
     """Frequency deviation beyond epsilon (relative) at depth n.
@@ -480,7 +475,7 @@ def in_F_set(digits: Sequence[int], epsilon: float, n: int) -> bool:
         raise ValueError("n must be >= 1")
     if len(digits) < n:
         raise ValueError(f"need {n} digits, have {len(digits)}")
-    q = continuant_den(digits[:n])
+    q = continuants(digits[:n])[3]
     return abs(math.log(q) / n - KHINCHIN_LEVY) > epsilon
 
 
@@ -619,11 +614,12 @@ class GaussDigitSampler:
         """P(next digit = d | state), an interval of the tail distribution."""
         return self._digit_interval(d)[1]
 
-    def step(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.n)
-        a = _digit_of(self._inverse(u))
-        self.push(a)
-        return a
+    def step(self, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """One digit drawn from the exact conditional law in every row, and
+        push's a + r: (digits, growth)."""
+        a = _digit_of(self._inverse(rng.random(self.n)))
+        return a, self.push(a)
 
     def draw_tilted(self, et: Union[float, np.ndarray], d: int,
                     u: np.ndarray
@@ -677,7 +673,7 @@ class GaussDigitSampler:
                       rng: np.random.Generator) -> np.ndarray:
         out = np.empty((self.n, depth), dtype=np.int64)
         for j in range(depth):
-            out[:, j] = self.step(rng)
+            out[:, j] = self.step(rng)[0]
         return out
 
 
@@ -736,7 +732,7 @@ def _log_growth(n_samples: int, seed: np.random.SeedSequence,
                 steps: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """(step, ln q_step of each row) at each of the ascending steps, over
     n_samples Gauss-sampled points, by ln q_j = ln q_{j-1} + ln(a_j + r) with
-    r = q_{j-2}/q_{j-1}: the sampler's step, taking a_j + r from push."""
+    r = q_{j-2}/q_{j-1}: the growth that the sampler's step returns."""
     rng = np.random.default_rng(seed)
     sampler = GaussDigitSampler(n_samples)
     logq = np.zeros(n_samples)
@@ -744,8 +740,7 @@ def _log_growth(n_samples: int, seed: np.random.SeedSequence,
     out = []
     for target in steps:
         for _ in range(target - done):
-            grow = sampler.push(
-                _digit_of(sampler._inverse(rng.random(n_samples))))
+            grow = sampler.step(rng)[1]
             logq += np.log(grow, out=grow)
             del grow  # not kept through the next draw: it sets the peak
         done = target

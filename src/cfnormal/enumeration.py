@@ -19,7 +19,7 @@ from .core import Rational
 from .errors import ResourceLimitError
 from .sieves import (SIEVE_LIMIT_MAX, ArithTables, check_sieve_limit,
                      factorize_distinct, get_tables, mobius_sieve,
-                     prime_sieve)
+                     phi_summatory, prime_sieve)
 
 Member = Union[Rational, tuple[int, int]]
 
@@ -148,8 +148,8 @@ _CUMULATIVE: dict[SequenceKind, np.ndarray] = {}
 def _cumulative(kind: SequenceKind, m: int) -> np.ndarray:
     """cum[d] = count_R(kind, d) for d = 0..limit of the shared tables,
     which cover at least m; rebuilt when the tables have grown.  members_at
-    and index_of read it for every kind but aks-dup, count_R for all only;
-    the tests hold count_R's other sums to it."""
+    and index_of read it for every kind but aks-dup; the tests hold
+    count_R's closed forms to it."""
     tables = get_tables(m)
     cum = _CUMULATIVE.get(kind)
     if cum is None or len(cum) != tables.limit + 1:
@@ -197,8 +197,8 @@ def count_R(kind: SequenceKind, m: int) -> int:
         return 0
     if kind is SequenceKind.SQUAREFREE_BOTH:
         return _count_squarefree_both(m)
-    if kind is SequenceKind.ALL_LOWEST_TERMS:
-        return int(_cumulative(kind, m)[m])
+    if kind is SequenceKind.ALL_LOWEST_TERMS:  # phi(1) = 1 counts 1/1
+        return phi_summatory(m) - 1
     # the prime kinds sum over the primes p <= m alone, so only the prime
     # sieve is built:
     #   type1  sum_p (p - 1)

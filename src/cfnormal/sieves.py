@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -206,6 +206,12 @@ def coprime_count(x: int, m: int) -> int:
                for c in itertools.combinations(ps, r))
 
 
+def _count_prime_forms(x: int, forms: Sequence[tuple[int, int]]) -> int:
+    """#{1 <= l <= x : l*q + a prime for every form (q, a)}."""
+    return sum(1 for ell in range(1, x + 1)
+               if all(is_prime(ell * q + a) for q, a in forms))
+
+
 def pi_prime_linear(x: int, q: int, a: int) -> int:
     """#{1 <= l <= x : l*q + a prime}.  Requires gcd(q, a) = 1."""
     if x < 0:
@@ -214,11 +220,7 @@ def pi_prime_linear(x: int, q: int, a: int) -> int:
         raise ValueError("q must be >= 1")
     if math.gcd(q, a) != 1:
         raise ValueError(f"gcd({q}, {a}) != 1: the progression carries a fixed divisor")
-    count = 0
-    for ell in range(1, x + 1):
-        if is_prime(ell * q + a):
-            count += 1
-    return count
+    return _count_prime_forms(x, ((q, a),))
 
 
 def pi_prime_joint(x: int, q: int, a: int, q2: int, a2: int) -> int:
@@ -235,8 +237,4 @@ def pi_prime_joint(x: int, q: int, a: int, q2: int, a2: int) -> int:
         raise ValueError("each form needs gcd(q, a) = 1")
     if a * q2 - q * a2 == 0:
         raise ValueError("degenerate pair: a*q2 - q*a2 = 0")
-    count = 0
-    for ell in range(1, x + 1):
-        if is_prime(ell * q + a) and is_prime(ell * q2 + a2):
-            count += 1
-    return count
+    return _count_prime_forms(x, ((q, a), (q2, a2)))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -50,21 +49,20 @@ class DigitStream:
     def __init__(self, kind: SequenceKind,
                  convention: Convention = Convention.LONG):
         self.convention = convention
-        self._members = iter_members(kind)
         self.position = 0
-        self._buf: deque[int] = deque()
+        # an aks-dup pair need not be reduced; its digits are the reduced value's
+        pairs = (member if isinstance(member, tuple) else (member.num, member.den)
+                 for member in iter_members(kind))
+        self._digits = itertools.chain.from_iterable(
+            cf_digits(num, den, convention) for num, den in pairs)
 
     def __iter__(self) -> "DigitStream":
         return self
 
     def __next__(self) -> int:
-        while not self._buf:
-            member = next(self._members)
-            # an aks-dup pair need not be reduced; its digits are the reduced value's
-            num, den = member if isinstance(member, tuple) else (member.num, member.den)
-            self._buf.extend(cf_digits(num, den, self.convention))
+        digit = next(self._digits)
         self.position += 1
-        return self._buf.popleft()
+        return digit
 
     def take(self, n: int) -> list[int]:
         return list(itertools.islice(self, max(n, 0)))

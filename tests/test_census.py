@@ -13,13 +13,13 @@ from cfnormal.census import (MIRROR_KINDS, CensusReport, GammaParams,
                              _block_occurrences, _classify_block,
                              _digit_of, _euclid_counts,
                              _gamma_block, _tune_theta,
-                             continuant_den, digit_length, ef_decay_estimates,
+                             digit_length, ef_decay_estimates,
                              estimate_measure, gamma_census,
                              gamma_prime_contains, gamma_prime_q_bounds,
                              in_E_set, in_F_set, in_gamma,
                              is_eps_s_normal, mc_growth_rate,
                              n_delta, resolve_threads, run_census)
-from cfnormal.core import Convention, Rational, cf_digits, expand
+from cfnormal.core import Convention, Rational, cf_digits, continuants, expand
 from cfnormal.enumeration import SequenceKind, count_R, enumerate_R, members_block
 from cfnormal.errors import ResourceLimitError
 from cfnormal.measures import GOLDEN, KHINCHIN_LEVY, Pattern, cylinder_geometry, gauss_measure
@@ -393,6 +393,11 @@ class TestGamma:
             GammaParams(1000, 0.1, 0.0, Pattern((1,)))
         with pytest.raises(ValueError):
             GammaParams(2, 0.1, 0.1, Pattern((1,)))
+        # a NaN eta fails every frequency test, which would silently drop
+        # Gamma's frequency condition; an infinite one never fails any
+        for eta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                GammaParams(1000, 0.1, eta, Pattern((1,)))
 
     def test_membership_edges(self):
         assert in_gamma(Rational(1, 2), self.GP)          # 2 digits < n = 4
@@ -496,8 +501,8 @@ class TestGammaPrime:
         assert (lo, hi) == (pytest.approx(3.433, abs=1e-3),
                             pytest.approx(101.048, abs=1e-3))
         for prefix in accepted:
-            assert continuant_den(prefix[:2]) == 11
-            assert lo <= continuant_den(prefix) <= hi
+            assert continuants(prefix[:2])[3] == 11
+            assert lo <= continuants(prefix)[3] <= hi
 
     def test_accepted_cylinders_are_disjoint(self):
         gp = GammaParams(10 ** 4, 0.3, 0.1, Pattern((1,)))
@@ -535,9 +540,9 @@ class TestGammaPrime:
 
 class TestExceptionalPrefixSets:
     def test_continuant_oracles(self):
-        assert continuant_den([]) == 1
-        assert continuant_den([2, 3]) == 7
-        assert continuant_den([1] * 5) == 8   # Fibonacci(6)
+        assert continuants([])[3] == 1
+        assert continuants([2, 3])[3] == 7
+        assert continuants([1] * 5)[3] == 8   # Fibonacci(6)
 
     def test_f_membership(self):
         assert in_F_set([1] * 50, 0.5, 50)          # golden growth is slow
@@ -604,6 +609,16 @@ class TestGaussDigitSampler:
         mat = GaussDigitSampler(32).sample_matrix(12, rng)
         assert mat.shape == (32, 12)
         assert mat.min() >= 1
+
+    def test_step_returns_the_digits_and_the_growth_push_returns(self):
+        # step draws each row's digit by the inverse CDF and pushes it
+        stepped, pushed = GaussDigitSampler(500), GaussDigitSampler(500)
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(40):
+            a, grow = stepped.step(rng)
+            want = _digit_of(pushed._inverse(twin.random(pushed.n)))
+            assert np.array_equal(a, want)
+            assert np.array_equal(grow, pushed.push(want))
 
     def test_needs_rows(self):
         with pytest.raises(ValueError):

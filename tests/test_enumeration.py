@@ -232,7 +232,7 @@ def test_count_exact_values_at_scale():
 PRIME_KINDS = (SequenceKind.TYPE1, SequenceKind.TYPE2, SequenceKind.TYPE3)
 
 
-@pytest.mark.parametrize("kind", PRIME_KINDS + (SF,))
+@pytest.mark.parametrize("kind", PRIME_KINDS + (SF, ALL))
 def test_prime_kind_counts_match_the_cumulative_tables(kind):
     cum = enumeration._cumulative(kind, 3000)
     assert [count_R(kind, m) for m in range(1, 3001)] == cum[1:3001].tolist()
@@ -290,6 +290,18 @@ def test_prime_kind_counts_build_no_tables(monkeypatch):
     monkeypatch.setattr(sieves, "_CACHED", None)
     monkeypatch.setattr(sieves, "build_tables", refuse)
     assert count_R(SequenceKind.TYPE2, 10 ** 6) == 40944822767
+
+
+@pytest.mark.parametrize("m,count", [(1, 0), (2, 1), (3, 3), (10, 31),
+                                     (1000, 304191), (65536, 1305514925),
+                                     (10 ** 6, 303963552391)])
+def test_lowest_terms_count_builds_no_cumulative_table(m, count, monkeypatch):
+    # Phi(m) - 1 from the shared tables' phi, with no int64 running sum
+    def refuse(kind, m):
+        raise AssertionError("cumulative table built")
+    monkeypatch.setattr(sieves, "_CACHED", None)
+    monkeypatch.setattr(enumeration, "_cumulative", refuse)
+    assert count_R(ALL, m) == count
 
 
 @pytest.mark.parametrize("m,count", [(2, 1), (3, 3), (10, 16), (1000, 143028),

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ratio_rows
 from cfnormal import streams
-from cfnormal.census import continuant_den
-from cfnormal.core import Convention, cf_digits
+from cfnormal.core import Convention, cf_digits, continuants
 from cfnormal.enumeration import (BLOCK_PAIR_CAP, SequenceKind, iter_members,
                                   members_block)
 from cfnormal.errors import ResourceLimitError
@@ -421,7 +420,7 @@ class TestGrowthTracker:
             digits = [int(d) for d in rng.integers(1, 9, 10 ** 4)]
             tracker = GrowthTracker()
             tracker.update_many(digits)
-            exact = _ln_big(continuant_den(digits))
+            exact = _ln_big(continuants(digits)[3])
             assert abs(tracker.logq - exact) / exact < 1e-9
 
     def test_audit_passes_on_stream_digits(self, long_digits):
@@ -430,6 +429,19 @@ class TestGrowthTracker:
         tracker.update_many(digits.tolist())
         assert tracker.max_audit_rel_err <= 1e-6
         assert tracker.n == 30000
+
+    @pytest.mark.parametrize("kind", [SequenceKind.ALL_LOWEST_TERMS,
+                                      SequenceKind.TYPE3])
+    def test_whole_prefix_matches_the_exact_q(self, long_digits, kind):
+        # the audit rebases at every window; this holds the running float
+        # sum over a million digits to the q_N of the whole prefix
+        digits = long_digits[kind][:10 ** 6]
+        tracker = GrowthTracker()
+        tracker.update_many(digits)
+        ((q, _),) = streams._continuant_products(digits.reshape(1, -1))
+        exact = math.log(q)
+        assert tracker.n == 10 ** 6
+        assert abs(tracker.logq - exact) / exact < 1e-12
 
     def test_audit_catches_injected_drift(self):
         tracker = GrowthTracker(audit_interval=100)
@@ -543,7 +555,7 @@ class TestGrowthTrackerVectorised:
         rng = np.random.default_rng(5)
         digits = rng.integers(1, 10 ** 6 + 1, 30_000)
         products = streams._continuant_products(digits[:4].reshape(1, 4))
-        assert products[0][0] == continuant_den(digits[:4].tolist()) > 2 ** 63
+        assert products[0][0] == continuants(digits[:4].tolist())[3] > 2 ** 63
         _assert_same_bits(digits)
         _assert_same_bits(digits, audit_interval=1)
 

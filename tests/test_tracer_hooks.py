@@ -89,3 +89,30 @@ def test_montecarlo_arguments_bind(tmp_path):
     assert {op.call for op in calls} == {"ef_decay_estimates", "mc_growth_rate"}
     for op in calls:
         inspect.signature(getattr(census, op.call)).bind(**op.kwargs)
+
+
+def test_tracer_sees_every_sampler_pass(monkeypatch):
+    """Each Gauss-chain pass draws through a GaussDigitSampler method that
+    the tracer hooks, so its row-steps count the plain growth passes as
+    well as the tilted ones (the tuning pilots are timed apart)."""
+    import cfnormal.census as census
+    sampler = census.GaussDigitSampler
+    hooked = [hook.name for hook in _load("tracer").HOOKS
+              if hook.owner == "cfnormal.census:GaussDigitSampler"]
+    assert hooked
+    row_steps = []
+
+    def counting(method):
+        def counted(self, *args, **kwargs):
+            row_steps.append(self.n)
+            return method(self, *args, **kwargs)
+        return counted
+
+    for name in hooked:
+        monkeypatch.setattr(sampler, name, counting(getattr(sampler, name)))
+    census.mc_growth_rate(depth=20, n_samples=1000)
+    assert sum(row_steps) == 20 * 1000
+    row_steps.clear()
+    census.ef_decay_estimates(checkpoints=(10, 30), n_samples=1000, threads=1)
+    # the plain F pass and the two tilted E passes, each to depth 30
+    assert sum(row_steps) == 3 * 30 * 1000
